@@ -259,10 +259,10 @@ let scan_table db ~actor (tp : Plan.table_plan) =
          partitions of the decoded rows when worthwhile *)
       (match !fallback_filter @ tp.Plan.filters with
       | [] -> Ok (List.map bindings_of raw_rows, 1, None)
-      | filters when Vec.enabled () ->
+      | filters ->
           (* batch-at-a-time: columnar chunks with selection vectors,
-             packed kernels where the classifier allows, per-row tuple
-             fallback otherwise (docs/EXECUTION.md) *)
+             packed kernels where the classifier allows, the row
+             evaluator otherwise (docs/EXECUTION.md) *)
           let rows = Array.of_list raw_rows in
           let dtype_of qualifier name =
             let qualifier_ok =
@@ -290,14 +290,7 @@ let scan_table db ~actor (tp : Plan.table_plan) =
           Ok
             ( List.map (fun i -> bindings_of rows.(i)) kept,
               report.Vec.parts,
-              Some report )
-      | filters ->
-          let items =
-            Array.of_list (List.map (fun row -> [ bindings_of row ]) raw_rows)
-          in
-          let* kept, parts = filter_ordered db filters items in
-          if parts > 1 then Obs.add c_scan_partitions parts;
-          Ok (List.map List.hd kept, parts, None))
+              Some report ))
 
 (* When the index-eq access came from a conjunct that the planner removed,
    rows from a fallback full scan could violate it. To stay correct we
@@ -433,11 +426,11 @@ type result_entry = {
   re_deps : (string * int * int) list; (* table, data_version, schema_version *)
 }
 
-let stmt_cache : (string, Ast.stmt) Lru.t ref =
-  ref (Lru.create ~name:"stmt" ~max_entries:512 ())
+let stmt_cache : (string, Ast.stmt) Lru.t =
+  Lru.create ~name:"stmt" ~max_entries:512 ()
 
-let plan_cache : (query_key, plan_entry) Lru.t ref =
-  ref (Lru.create ~name:"plan" ~max_entries:256 ())
+let plan_cache : (query_key, plan_entry) Lru.t =
+  Lru.create ~name:"plan" ~max_entries:256 ()
 
 let value_weight = function
   | D.Null | D.Bool _ | D.Int _ | D.Float _ -> 16
@@ -450,38 +443,14 @@ let result_weight _ e =
     (List.fold_left (fun acc c -> acc + 24 + String.length c) 0 e.re_rs.columns)
     e.re_rs.rows
 
-let default_result_entries = 128
-let default_result_bytes = 4 * 1024 * 1024
-
-let result_cache : (query_key, result_entry) Lru.t ref =
-  ref
-    (Lru.create ~name:"result" ~max_entries:default_result_entries
-       ~max_bytes:default_result_bytes ~weight:result_weight ())
-
-let set_plan_cache_entries n =
-  plan_cache := Lru.create ~name:"plan" ~max_entries:(max 1 n) ()
-
-let set_result_cache_limits ~entries ~bytes =
-  result_cache :=
-    Lru.create ~name:"result" ~max_entries:(max 1 entries) ~max_bytes:(max 0 bytes)
-      ~weight:result_weight ()
+let result_cache : (query_key, result_entry) Lru.t =
+  Lru.create ~name:"result" ~max_entries:128 ~max_bytes:(4 * 1024 * 1024)
+    ~weight:result_weight ()
 
 let clear_statement_caches () =
-  Lru.clear !stmt_cache;
-  Lru.clear !plan_cache;
-  Lru.clear !result_cache
-
-(* flipping the strategy invalidates every cached plan (the cache key
-   does not include the flag) and the results derived from them *)
-let set_hash_join_enabled b =
-  Plan.set_hash_join_enabled b;
-  clear_statement_caches ()
-
-(* same invalidation story: plans carry vec-kernel annotations and
-   cached results may have been produced by either path *)
-let set_vectorized_enabled b =
-  Vec.set_enabled b;
-  clear_statement_caches ()
+  Lru.clear stmt_cache;
+  Lru.clear plan_cache;
+  Lru.clear result_cache
 
 let query_key db ~actor ~optimize select =
   { qk_db = Db.id db; qk_actor = String.lowercase_ascii actor; qk_optimize = optimize;
@@ -534,9 +503,9 @@ let invalidate_table db ~table =
     k.qk_db = id
     && List.exists (fun d -> String.lowercase_ascii (name_of d) = lname) deps
   in
-  Lru.invalidate_where !result_cache (fun k e ->
+  Lru.invalidate_where result_cache (fun k e ->
       touches e.re_deps (fun (n, _, _) -> n) k)
-  + Lru.invalidate_where !plan_cache (fun k e ->
+  + Lru.invalidate_where plan_cache (fun k e ->
         touches e.pe_deps fst k)
 
 (* catalog view for the planner *)
@@ -605,24 +574,16 @@ let stats_provider_of db ~actor =
           false);
   }
 
-(* flipping the planner invalidates cached plans and derived results
-   (the cache key does not include the mode) *)
-let set_planner_mode m =
-  Plan.set_mode m;
-  clear_statement_caches ()
-
 let cached_plan db ~actor ~optimize select =
   let key = query_key db ~actor ~optimize select in
-  match Lru.find_validated !plan_cache key ~validate:(plan_fresh db ~actor) with
+  match Lru.find_validated plan_cache key ~validate:(plan_fresh db ~actor) with
   | Some e -> e.pe_plan
   | None ->
-      let stats =
-        match Plan.mode () with
-        | Plan.Cost_based -> Some (stats_provider_of db ~actor)
-        | Plan.Heuristic -> None
+      let plan =
+        Plan.make ~optimize ~stats:(stats_provider_of db ~actor)
+          (catalog_of db ~actor) select
       in
-      let plan = Plan.make ~optimize ?stats (catalog_of db ~actor) select in
-      Lru.put !plan_cache key
+      Lru.put plan_cache key
         { pe_plan = plan; pe_catalog = Db.catalog_version db;
           pe_deps = plan_deps db ~actor select };
       plan
@@ -1137,7 +1098,7 @@ let run ?optimize db ~actor stmt =
       let opt = Option.value optimize ~default:true in
       let key = query_key db ~actor ~optimize:opt s in
       match
-        Lru.find_validated !result_cache key ~validate:(result_fresh db ~actor)
+        Lru.find_validated result_cache key ~validate:(result_fresh db ~actor)
       with
       | Some e ->
           Obs.add c_queries 1;
@@ -1145,7 +1106,7 @@ let run ?optimize db ~actor stmt =
           Ok (Rows e.re_rs)
       | None ->
           let* rs = run_select ?optimize db ~actor s in
-          Lru.put !result_cache key
+          Lru.put result_cache key
             { re_rs = rs; re_catalog = Db.catalog_version db;
               re_deps = result_deps db ~actor s };
           Ok (Rows rs))
@@ -1272,11 +1233,11 @@ let run ?optimize db ~actor stmt =
 let query ?optimize db ~actor input =
   let* stmt =
     let key = normalize_statement input in
-    match Lru.find !stmt_cache key with
+    match Lru.find stmt_cache key with
     | Some stmt -> Ok stmt
     | None ->
         let* stmt = Parser.parse input in
-        Lru.put !stmt_cache key stmt;
+        Lru.put stmt_cache key stmt;
         Ok stmt
   in
   run ?optimize db ~actor stmt

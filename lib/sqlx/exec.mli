@@ -30,7 +30,8 @@ type op_profile = {
   actual_rows : int;      (** rows the operator produced *)
   est_rows : int option;
       (** the cost-based planner's cardinality estimate for this
-          operator; [None] on heuristic plans and shaping operators *)
+          operator; [None] for unanalyzed tables, [optimize:false]
+          plans and shaping operators *)
   elapsed_s : float;      (** wall-clock seconds, inclusive of children *)
   children : op_profile list;
 }
@@ -79,8 +80,8 @@ val query :
 
 (** {1 Statement caches}
 
-    Three process-wide LRUs back {!query} and {!run} (full story in
-    [docs/CACHING.md]):
+    Three process-wide LRUs with fixed bounds back {!query} and {!run}
+    (full story in [docs/CACHING.md]):
 
     - [cache.stmt] — normalized statement text -> parsed AST;
     - [cache.plan] — (database id, actor, optimize, SELECT ast) -> plan,
@@ -101,33 +102,6 @@ val invalidate_table : Genalg_storage.Database.t -> table:string -> int
 
 val clear_statement_caches : unit -> unit
 (** Empty all three caches (statistics are kept). For tests/benches. *)
-
-val set_hash_join_enabled : bool -> unit
-(** Enable/disable the hash equi-join strategy (default enabled). Also
-    drops cached plans and results so the toggle takes effect
-    immediately. Disabling forces the nested-loop baseline — used by the
-    PAR bench and the hash ≡ nested-loop equivalence tests. *)
-
-val set_vectorized_enabled : bool -> unit
-(** Enable/disable batch-at-a-time scan execution (default enabled;
-    see {!Vec} and docs/EXECUTION.md). Disabling forces the
-    tuple-at-a-time baseline. Also drops cached plans and results so
-    the toggle takes effect immediately — used by the VEC bench and
-    the vectorized ≡ tuple equivalence tests. *)
-
-val set_planner_mode : Plan.mode -> unit
-(** Select the planner: [Cost_based] (default) consults ANALYZE
-    statistics where they exist; [Heuristic] always uses the static
-    model. Also drops cached plans and results so the toggle takes
-    effect immediately — used by the OPT bench and the plan-equivalence
-    tests. *)
-
-val set_plan_cache_entries : int -> unit
-(** Replace the plan cache with an empty one of the given capacity. *)
-
-val set_result_cache_limits : entries:int -> bytes:int -> unit
-(** Replace the result cache with an empty one bounded by [entries] and
-    [bytes] (approximate decoded size of the cached result sets). *)
 
 val render : Genalg_storage.Database.t -> result_set -> string
 (** ASCII table with UDT-aware value display. *)

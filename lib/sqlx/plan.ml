@@ -57,18 +57,9 @@ type t = {
   output_order : string list;
 }
 
-(* Planner mode: [Cost_based] uses the ANALYZE statistics catalog when
-   the executor supplies one (and a table has been analyzed);
-   [Heuristic] always uses the static constants below. Flip it through
-   [Exec.set_planner_mode], which also drops cached plans. *)
-type mode = Heuristic | Cost_based
-
-let mode_ref = ref Cost_based
-let set_mode m = mode_ref := m
-let mode () = !mode_ref
-
 (* Statistics the cost-based planner pulls per table; supplied by the
-   executor from live [Table.t] handles so plans see current stats. *)
+   executor from live [Table.t] handles so plans see current stats.
+   Tables without ANALYZE statistics keep the static constants below. *)
 type stats_provider = {
   analyzed : table:string -> bool;
   row_count : table:string -> int;
@@ -77,13 +68,6 @@ type stats_provider = {
   genomic_mean_len_of : table:string -> column:string -> float option;
   is_dna : table:string -> column:string -> bool;
 }
-
-(* Global switch so benches/tests can force the nested-loop baseline.
-   Callers that flip it must drop cached plans (Exec.set_hash_join_enabled
-   does). *)
-let hash_join_flag = ref true
-let set_hash_join_enabled b = hash_join_flag := b
-let hash_join_enabled () = !hash_join_flag
 
 type catalog = {
   has_index : table:string -> column:string -> bool;
@@ -101,21 +85,19 @@ type catalog = {
    function registry, so this is a planning/display-level promise. *)
 
 let vec_classify catalog ~table ~alias f =
-  if not (Vec.enabled ()) then None
-  else
-    let dtype_of qualifier name =
-      let qualifier_ok =
-        match qualifier with
-        | None -> true
-        | Some q -> String.lowercase_ascii q = String.lowercase_ascii alias
-      in
-      if not qualifier_ok then None
-      else
-        Option.map
-          (fun dt -> (dt, 0))
-          (catalog.column_dtype ~table ~column:name)
+  let dtype_of qualifier name =
+    let qualifier_ok =
+      match qualifier with
+      | None -> true
+      | Some q -> String.lowercase_ascii q = String.lowercase_ascii alias
     in
-    Vec.classify ~dtype_of ~resolves:(fun _ _ -> true) f
+    if not qualifier_ok then None
+    else
+      Option.map
+        (fun dt -> (dt, 0))
+        (catalog.column_dtype ~table ~column:name)
+  in
+  Vec.classify ~dtype_of ~resolves:(fun _ _ -> true) f
 
 let vec_kernels_of catalog ~table ~alias filters =
   List.filter_map
@@ -770,8 +752,7 @@ let make ?(optimize = true) ?stats catalog (select : Ast.select) =
       |> List.stable_sort (fun a b -> Float.compare (rank a) (rank b))
     in
     let joins, tail_filters =
-      make_steps ~hash_join:(hash_join_enabled ()) catalog from classified
-        join_filters
+      make_steps ~hash_join:true catalog from classified join_filters
     in
     (* Cumulative cardinality estimates along the (possibly reordered)
        join chain, when per-table estimates exist. *)

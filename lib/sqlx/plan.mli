@@ -46,12 +46,12 @@ type table_plan = {
   filters : Ast.expr list;  (** residual predicates, in evaluation order *)
   est_rows : float option;
       (** cost-based estimate of rows this scan emits after filters;
-          [None] for heuristic plans *)
+          [None] for unanalyzed tables and [optimize:false] plans *)
   vec_kernels : string list;
       (** labels of the packed kernels the vectorized scan expects to
           serve [filters] with (e.g. ["packed-gc(seq)"]); display-only
           — the executor re-classifies against the live schema and
-          function registry. Empty when vectorization is disabled *)
+          function registry. Empty when no filter has a packed kernel *)
 }
 
 type join_strategy =
@@ -74,8 +74,8 @@ type join_step = {
       (** conjuncts first evaluable at this step (the hash-key equality,
           when consumed by [Hash_join], is removed), evaluation order *)
   step_est : float option;
-      (** estimated cumulative cardinality after this step; [None] for
-          heuristic plans *)
+      (** estimated cumulative cardinality after this step; [None]
+          unless every table in the plan has an estimate *)
 }
 
 type t = {
@@ -92,14 +92,6 @@ type t = {
           this order before projection so [SELECT *] output is stable *)
 }
 
-type mode = Heuristic | Cost_based
-
-val set_mode : mode -> unit
-(** Select the planner (default [Cost_based]). Use
-    {!Exec.set_planner_mode}, which also drops cached plans. *)
-
-val mode : unit -> mode
-
 type stats_provider = {
   analyzed : table:string -> bool;
       (** the table has ANALYZE statistics; without them the planner
@@ -115,12 +107,6 @@ type stats_provider = {
 }
 (** Live statistics the cost-based planner consults; supplied by the
     executor from the storage layer. *)
-
-val set_hash_join_enabled : bool -> unit
-(** Force the nested-loop baseline when [false] (default [true]). Use
-    {!Exec.set_hash_join_enabled}, which also drops cached plans. *)
-
-val hash_join_enabled : unit -> bool
 
 type catalog = {
   has_index : table:string -> column:string -> bool;
@@ -159,8 +145,8 @@ val rank_with : catalog -> table:string -> alias:string -> Ast.expr -> float
 val make : ?optimize:bool -> ?stats:stats_provider -> catalog -> Ast.select -> t
 (** Build a plan. With [optimize:false] (default true), no pushdown
     reordering or index selection happens beyond assigning conjuncts to
-    the last table that makes them evaluable — the naive baseline for the
-    optimizer experiment.
+    the last table that makes them evaluable, and every join step is a
+    nested loop — the naive baseline for the optimizer experiment.
 
     With [?stats], ANALYZEd tables get cost-based access selection:
     every candidate path (full scan, each usable B-tree conjunct, the
@@ -168,8 +154,8 @@ val make : ?optimize:bool -> ?stats:stats_provider -> catalog -> Ast.select -> t
     over {!Stats} selectivities and the cheapest wins; when every FROM
     table is analyzed, joins are greedily reordered by estimated
     cardinality and the plan carries row estimates. Without [?stats]
-    (or for unanalyzed tables) behaviour is identical to the heuristic
-    planner. *)
+    (or for unanalyzed tables) the static rules choose: the first
+    usable index conjunct, residual filters by ascending {!rank_with}. *)
 
 val to_string : ?jobs:int -> t -> string
 (** Human-readable plan: one line per table scan (full scans carry the

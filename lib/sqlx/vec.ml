@@ -7,9 +7,9 @@
    framed kernels) — no [Bytes.sub], no decode to text, no [Eval] env
    per row. Everything else (and every row a kernel cannot serve:
    NULLs, corrupt frames, mismatched alphabets, unregistered
-   functions) falls back to the tuple-at-a-time evaluator for that
-   row, so results — including which error surfaces, and in which
-   input order — are byte-identical to the scalar path. *)
+   functions) is decided by the row evaluator ([Eval.eval_predicate])
+   for that row, so results — including which error surfaces, and in
+   which input order — are those of evaluating the filters row by row. *)
 
 module D = Genalg_storage.Dtype
 module Obs = Genalg_obs.Obs
@@ -25,10 +25,6 @@ let c_fallback_rows = Obs.counter "sqlx.vec.fallback_rows"
    rows stay cache-resident, large enough to amortize per-chunk
    bookkeeping. *)
 let chunk_rows = 1024
-
-let enabled_flag = ref true
-let set_enabled b = enabled_flag := b
-let enabled () = !enabled_flag
 
 (* ------------------------------------------------------------------ *)
 (* Kernel classification                                               *)
@@ -71,9 +67,9 @@ let is_cmp = function
    [dtype_of qualifier name] resolves a column reference to its
    declared dtype plus an opaque token handed back in [k_col];
    [resolves name args] must confirm the genomic function is actually
-   registered for those argument types — when it is not, the tuple
+   registered for those argument types — when it is not, the row
    evaluator raises "unknown function", and the kernel must not mask
-   that. Anything unrecognized stays on the tuple path. *)
+   that. Anything unrecognized is left to the row evaluator. *)
 let classify ~dtype_of ~resolves expr =
   let seq_col allowed_udts qualifier name =
     match dtype_of qualifier name with
@@ -146,7 +142,7 @@ let expected_alphabet = function
   | _ -> None
 
 (* [Some verdict] when the kernel can decide this row from the packed
-   frame alone; [None] sends the row to the tuple evaluator, which
+   frame alone; [None] sends the row to the row evaluator, which
    reproduces the exact scalar behaviour (type errors for NULL or
    non-sequence values, decode errors for corrupt frames, the
    wrong-alphabet error for mismatched payloads). *)
@@ -199,12 +195,12 @@ type report = {
   rows_in : int;
   rows_out : int;
   kernel_rows : int; (* row×stage decisions served by a packed kernel *)
-  fallback_rows : int; (* row×stage decisions by the tuple evaluator *)
+  fallback_rows : int; (* row×stage decisions by the row evaluator *)
   parts : int; (* degree of parallelism used for the chunks *)
   kernels : string list;
 }
 
-(* Same threshold as the executor's row-partitioned scalar path. *)
+(* Same threshold as the executor's row-partitioned join expansion. *)
 let par_row_threshold = 256
 
 (* Run the fused pipeline over [rows]. Returns the indices of the
@@ -214,8 +210,8 @@ let par_row_threshold = 256
    this): identical to evaluating the predicates left to right on each
    row with short-circuit on false — a row reaches stage [s] only if
    every earlier stage accepted it, and when any row errors, the error
-   of the smallest row index surfaces, exactly as the tuple path's
-   first-error-in-input-order merge. Chunks are processed predicate-
+   of the smallest row index surfaces (first error in input order).
+   Chunks are processed predicate-
    major for locality, which cannot change any of that: stage order
    per row is preserved by the shrinking selection vector, and errors
    are recorded with their row index and minimized at the merge. *)

@@ -3,13 +3,14 @@
     Scans feed the pushed-down filter pipeline columnar chunks of
     {!chunk_rows} rows carrying a selection vector. Within a chunk the
     pipeline runs predicate-major: each stage shrinks the selection
-    before the next stage sees it, which preserves the tuple path's
-    left-to-right short-circuit semantics per row. Stages the
-    {!classify}r recognizes run as word-level kernels on the packed
-    sequence frame (GC content, length, substring containment) without
-    decoding; every other stage — and every row a kernel cannot decide
-    — falls back to the tuple-at-a-time evaluator so results,
-    including errors and their input-order position, are byte-identical.
+    before the next stage sees it, which preserves left-to-right
+    short-circuit semantics per row. Stages the {!classify}r recognizes
+    run as word-level kernels on the packed sequence frame (GC content,
+    length, substring containment) without decoding; every other stage
+    — and every row a kernel cannot decide — goes to the row evaluator,
+    so results, including errors and their input-order position, are
+    those of evaluating the filters row by row. Every filtered scan
+    runs through this pipeline.
 
     See docs/EXECUTION.md for the model and the kernel catalog. *)
 
@@ -17,13 +18,6 @@ module D = Genalg_storage.Dtype
 
 val chunk_rows : int
 (** Rows per columnar chunk (1024). *)
-
-val set_enabled : bool -> unit
-(** Toggle the vectorized scan path; off means every scan uses the
-    tuple-at-a-time code. Prefer {!Exec.set_vectorized_enabled}, which
-    also drops cached plans/results. On by default. *)
-
-val enabled : unit -> bool
 
 (** {2 Kernel classification} *)
 
@@ -52,17 +46,18 @@ val classify :
     resolves a column reference against the scan's binding (returning
     the declared dtype and a token stored in [k_col]); [resolves]
     confirms the genomic function is registered for the argument types
-    (otherwise the tuple evaluator's "unknown function" error must
-    surface, so no kernel may run). *)
+    (otherwise the row evaluator's "unknown function" error must
+    surface, so no kernel may run). [None] means the stage is decided
+    per row by the row evaluator. *)
 
 (** {2 The fused filter pipeline} *)
 
 type stage = {
   st_expr : Ast.expr;
   st_kernel : (kernel * (D.value array -> bool option)) option;
-      (** [None]: tuple-evaluated stage. The kernel function returns
+      (** [None]: row-evaluated stage. The kernel function returns
           [None] for rows it cannot decide (NULL, corrupt frame, wrong
-          alphabet), which routes that row to the tuple evaluator. *)
+          alphabet), which routes that row to the row evaluator. *)
 }
 
 val compile :
@@ -79,7 +74,7 @@ type report = {
   rows_in : int;
   rows_out : int;
   kernel_rows : int;  (** row×stage decisions served by packed kernels *)
-  fallback_rows : int;  (** row×stage decisions by the tuple evaluator *)
+  fallback_rows : int;  (** row×stage decisions by the row evaluator *)
   parts : int;  (** degree of parallelism used for the chunks *)
   kernels : string list;
 }

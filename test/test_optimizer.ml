@@ -1,13 +1,13 @@
 (* Plan-equivalence and cost-model tests for the cost-based optimizer:
-   the heuristic and cost-based planners must return identical result
-   sets on every query (the plans may — and sometimes must — differ),
-   histogram/estimator sanity, genomic access-path equivalence, and
-   stale-statistics behaviour. *)
+   plans for a table before and after ANALYZE (static rules vs cost
+   model), and the [~optimize:false] nested-loop full-scan baseline,
+   must return identical result sets on every query (the plans may —
+   and sometimes must — differ), histogram/estimator sanity, genomic
+   access-path equivalence, and stale-statistics behaviour. *)
 
 module D = Genalg_storage.Dtype
 module Db = Genalg_storage.Database
 module Table = Genalg_storage.Table
-module Plan = Genalg_sqlx.Plan
 module Exec = Genalg_sqlx.Exec
 module Stats = Genalg_sqlx.Stats
 module Cost = Genalg_sqlx.Cost
@@ -27,21 +27,17 @@ let run db sql =
   | Ok o -> o
   | Error m -> Alcotest.failf "%s: %s" sql m
 
-let rows db sql =
-  match Exec.query db ~actor:"u" sql with
+let rows ?optimize db sql =
+  match Exec.query ?optimize db ~actor:"u" sql with
   | Ok (Exec.Rows rs) -> (rs.Exec.columns, List.map Array.to_list rs.Exec.rows)
   | Ok _ -> Alcotest.failf "%s: expected rows" sql
   | Error m -> Alcotest.failf "%s: %s" sql m
 
 (* result-set comparison is order-insensitive: access paths and join
    orders legitimately change row order (multiset semantics) *)
-let sorted_rows db sql =
-  let cols, rs = rows db sql in
+let sorted_rows ?optimize db sql =
+  let cols, rs = rows ?optimize db sql in
   (cols, List.sort compare rs)
-
-let with_mode m f =
-  Exec.set_planner_mode m;
-  Fun.protect ~finally:(fun () -> Exec.set_planner_mode Plan.Cost_based) f
 
 let explain_text db sql =
   let _, rs = rows db ("EXPLAIN " ^ sql) in
@@ -217,9 +213,9 @@ let test_seed_path_equivalence () =
     Printf.sprintf "SELECT id FROM frags WHERE resembles(seq, dna('%s')) >= 0.9"
       pattern30
   in
-  let heuristic, hplan =
-    with_mode Plan.Heuristic (fun () -> (sorted_rows db q, explain_text db q))
-  in
+  (* before ANALYZE the static rules plan the table *)
+  let heuristic = sorted_rows db q in
+  let hplan = explain_text db q in
   check Alcotest.bool "heuristic plan scans" true (contains hplan "full scan");
   ignore (run db "ANALYZE frags");
   let cplan = explain_text db q in
@@ -251,7 +247,7 @@ let test_contains_path_with_stats () =
   let q =
     Printf.sprintf "SELECT id FROM frags WHERE contains(seq, '%s')" pattern30
   in
-  let heuristic = with_mode Plan.Heuristic (fun () -> sorted_rows db q) in
+  let heuristic = sorted_rows db q in
   ignore (run db "ANALYZE frags");
   let cplan = explain_text db q in
   check Alcotest.bool "cost-based keeps the k-mer contains path" true
@@ -311,7 +307,7 @@ let nums_fixture n =
 let test_range_path_with_stats () =
   let db = nums_fixture 400 in
   let q = "SELECT v FROM nums WHERE id < 37" in
-  let heuristic = with_mode Plan.Heuristic (fun () -> sorted_rows db q) in
+  let heuristic = sorted_rows db q in
   ignore (run db "ANALYZE nums");
   let cplan = explain_text db q in
   check Alcotest.bool "cost-based keeps the selective range index" true
@@ -333,9 +329,8 @@ let test_join_reorder_smallest_first () =
     ignore (run db (Printf.sprintf "INSERT INTO small VALUES (%d, %d)" i i))
   done;
   let q = "SELECT * FROM big, small WHERE big.k = small.k" in
-  let (hcols, hrows), hplan =
-    with_mode Plan.Heuristic (fun () -> (sorted_rows db q, explain_text db q))
-  in
+  let hcols, hrows = sorted_rows db q in
+  let hplan = explain_text db q in
   check Alcotest.bool "heuristic scans big first" true
     (String.length hplan > 0
     &&
@@ -360,26 +355,23 @@ let test_join_reorder_smallest_first () =
 
 let test_explain_analyze_estimates () =
   let db = nums_fixture 200 in
+  let q = "SELECT id FROM nums WHERE v = 3" in
+  (* an unanalyzed table gives the planner nothing to estimate from *)
+  check Alcotest.bool "no estimates on an unanalyzed table" false
+    (contains (explain_analyze_text db q) "est~");
   ignore (run db "ANALYZE nums");
-  let txt = explain_analyze_text db "SELECT id FROM nums WHERE v = 3" in
+  let txt = explain_analyze_text db q in
   let scan_line =
     List.find_opt
       (fun l -> contains l "Scan nums")
       (String.split_on_char '\n' txt)
   in
-  (match scan_line with
+  match scan_line with
   | Some l ->
       check Alcotest.bool "scan shows actual rows" true (contains l "rows=");
       check Alcotest.bool "scan shows the planner estimate" true
         (contains l "est~")
-  | None -> Alcotest.fail "expected a Scan operator line");
-  (* heuristic plans carry no estimates *)
-  let htxt =
-    with_mode Plan.Heuristic (fun () ->
-        explain_analyze_text db "SELECT id FROM nums WHERE v = 3")
-  in
-  check Alcotest.bool "no estimates on heuristic plans" false
-    (contains htxt "est~")
+  | None -> Alcotest.fail "expected a Scan operator line"
 
 (* ---- stale statistics --------------------------------------------------- *)
 
@@ -412,9 +404,9 @@ let test_stale_stats_correct_and_refreshable () =
   let q = "SELECT id FROM nums WHERE id > 100" in
   check Alcotest.int "all 200 new rows despite stale stats" 200
     (List.length (snd (sorted_rows db q)));
-  let heuristic = with_mode Plan.Heuristic (fun () -> sorted_rows db q) in
+  let naive = sorted_rows ~optimize:false db q in
   check Alcotest.bool "stale stats never change answers" true
-    (heuristic = sorted_rows db q);
+    (naive = sorted_rows db q);
   (match first_estimate (explain_text db q) with
   | Some e ->
       check Alcotest.bool
@@ -463,7 +455,7 @@ let plan_equivalence_property =
       (fun i k -> ignore (run db (Printf.sprintf "INSERT INTO s VALUES (%d, %d)" k i)))
       rs;
     let snap () = List.map (sorted_rows db) equivalence_queries in
-    let heuristic = with_mode Plan.Heuristic snap in
+    let heuristic = snap () in
     ignore (run db "ANALYZE r");
     ignore (run db "ANALYZE s");
     let cost = snap () in

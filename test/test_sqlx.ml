@@ -436,12 +436,6 @@ let test_render () =
 
 (* ---- join strategies --------------------------------------------------- *)
 
-(* run [f] with the hash-join strategy forced on or off, restoring the
-   default (enabled) afterwards *)
-let with_hash enabled f =
-  Exec.set_hash_join_enabled enabled;
-  Fun.protect ~finally:(fun () -> Exec.set_hash_join_enabled true) f
-
 let join_fixture () =
   let db = Db.create () in
   let run sql =
@@ -461,9 +455,11 @@ let join_fixture () =
        "INSERT INTO r VALUES (2.0, 100), (1.0, 200), (2.0, 300), (NULL, 400), (9.0, 500)");
   (db, run)
 
-let join_rows db sql =
+(* [~optimize:false] is the nested-loop reference: full scans, filters
+   in source order, a nested loop at every join step *)
+let join_rows ?optimize db sql =
   Exec.clear_statement_caches ();
-  match Exec.query db ~actor:"u" sql with
+  match Exec.query ?optimize db ~actor:"u" sql with
   | Ok (Exec.Rows rs) -> rs.Exec.rows
   | Ok _ -> Alcotest.failf "expected rows from %s" sql
   | Error msg -> Alcotest.failf "%s (%s)" msg sql
@@ -472,8 +468,8 @@ let test_join_hash_equals_nested () =
   let db, _ = join_fixture () in
   List.iter
     (fun sql ->
-      let nested = with_hash false (fun () -> join_rows db sql) in
-      let hashed = with_hash true (fun () -> join_rows db sql) in
+      let nested = join_rows ~optimize:false db sql in
+      let hashed = join_rows db sql in
       check Alcotest.bool ("same rows, same order: " ^ sql) true (nested = hashed))
     [
       "SELECT l.v, r.w FROM l, r WHERE l.k = r.k";
@@ -516,8 +512,8 @@ let test_join_filter_spans_tables_1_and_3 () =
   ignore (run "INSERT INTO c VALUES (2, 'two'), (3, 'three'), (5, 'five')");
   List.iter
     (fun sql ->
-      let nested = with_hash false (fun () -> join_rows db sql) in
-      let hashed = with_hash true (fun () -> join_rows db sql) in
+      let nested = join_rows ~optimize:false db sql in
+      let hashed = join_rows db sql in
       check Alcotest.bool ("strategies agree: " ^ sql) true (nested = hashed);
       let got =
         List.map (function [| D.Int x |] -> x | _ -> Alcotest.fail "shape") hashed
@@ -537,9 +533,9 @@ let test_explain_join_strategy () =
     let rec at i = i + m <= n && (String.sub hay i m = needle || at (i + 1)) in
     at 0
   in
-  let explain_text sql =
+  let explain_text ?optimize sql =
     Exec.clear_statement_caches ();
-    match Exec.query db ~actor:"u" ("EXPLAIN " ^ sql) with
+    match Exec.query ?optimize db ~actor:"u" ("EXPLAIN " ^ sql) with
     | Ok (Exec.Rows rs) ->
         String.concat "\n"
           (List.filter_map
@@ -548,17 +544,14 @@ let test_explain_join_strategy () =
     | _ -> Alcotest.fail "EXPLAIN failed"
   in
   let sql = "SELECT l.v, r.w FROM l, r WHERE l.k = r.k" in
-  let hash_plan = with_hash true (fun () -> explain_text sql) in
+  let hash_plan = explain_text sql in
   check Alcotest.bool "hash strategy shown" true
     (contains hash_plan "hash join on l.k = r.k");
-  let nested_plan = with_hash false (fun () -> explain_text sql) in
+  let nested_plan = explain_text ~optimize:false sql in
   check Alcotest.bool "nested strategy shown" true
     (contains nested_plan "nested-loop join");
   (* non-equi predicates can never use the hash path *)
-  let range_plan =
-    with_hash true (fun () ->
-        explain_text "SELECT l.v FROM l, r WHERE l.k < r.k")
-  in
+  let range_plan = explain_text "SELECT l.v FROM l, r WHERE l.k < r.k" in
   check Alcotest.bool "range join stays nested" true
     (contains range_plan "nested-loop join");
   (* planned scan partitions appear once jobs > 1 *)
@@ -592,8 +585,8 @@ let join_property =
     List.iteri (insert "r") rs;
     List.for_all
       (fun sql ->
-        let nested = with_hash false (fun () -> join_rows db sql) in
-        let hashed = with_hash true (fun () -> join_rows db sql) in
+        let nested = join_rows ~optimize:false db sql in
+        let hashed = join_rows db sql in
         nested = hashed)
       [
         "SELECT l.v, r.w FROM l, r WHERE l.k = r.k";

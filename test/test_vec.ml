@@ -1,7 +1,7 @@
 (* Vectorized (batch-at-a-time) execution: the packed word-level
-   kernels against naive decoded references, and the SQL-level
-   vectorized ≡ tuple-at-a-time equivalence — same rows, same order,
-   same errors, invariant under the jobs setting. *)
+   kernels against naive decoded references, and SQL scans against a
+   plain-OCaml evaluation over the generated DNA strings — same rows,
+   same order, same errors, invariant under the jobs setting. *)
 
 module D = Genalg_storage.Dtype
 module Db = Genalg_storage.Database
@@ -220,13 +220,18 @@ let run db sql =
 
 let motif = "ACGTTGCAGGAT"
 
+(* one generated row: (id, organism, DNA text) *)
+type read = int * string * string
+
 (* [rows] sequences with varied lengths (every residue mod 4), motif
-   planted in ~1/6 of them; returns the populated db *)
+   planted in ~1/6 of them; returns the populated db and the rows it
+   holds, in insertion order *)
 let seq_fixture ?(rows = 2600) () =
   let db = mk_db () in
   ignore (run db "CREATE TABLE seqs (id int NOT NULL, organism string, seq dna)");
   let rng = mk_rng 2024 in
   let buf = Buffer.create 4096 in
+  let reads = ref [] in
   let flush_batch () =
     if Buffer.length buf > 0 then begin
       ignore (run db (Printf.sprintf "INSERT INTO seqs VALUES %s" (Buffer.contents buf)));
@@ -240,26 +245,60 @@ let seq_fixture ?(rows = 2600) () =
       Bytes.blit_string motif 0 s
         (next rng (len - String.length motif))
         (String.length motif);
+    let org = Printf.sprintf "org%d" (i mod 5) in
+    let text = Bytes.to_string s in
+    reads := (i, org, text) :: !reads;
     if Buffer.length buf > 0 then Buffer.add_char buf ',';
-    Buffer.add_string buf
-      (Printf.sprintf "(%d, 'org%d', dna('%s'))" i (i mod 5) (Bytes.to_string s));
+    Buffer.add_string buf (Printf.sprintf "(%d, '%s', dna('%s'))" i org text);
     if i mod 50 = 0 then flush_batch ()
   done;
   flush_batch ();
-  db
+  (db, List.rev !reads)
 
-let queries =
+(* ---- naive reference over the generated strings -------------------------- *)
+
+(* GC fraction of a pure-ACGT string, as the engine defines it *)
+let gc_of text =
+  let n = String.length text in
+  let gc = ref 0 in
+  String.iter (function 'G' | 'C' -> incr gc | _ -> ()) text;
+  if n = 0 then 0. else float_of_int !gc /. float_of_int n
+
+let has motif text = naive_find ~pattern:motif text <> None
+
+(* [SELECT id FROM seqs WHERE keep] in scan order *)
+let ids_where keep (reads : read list) =
+  List.filter_map
+    (fun ((id, _, _) as r) -> if keep r then Some [| D.Int id |] else None)
+    reads
+
+(* each query with its expected rows, computed without the engine *)
+let queries : (string * (read list -> D.value array list)) list =
   [
-    "SELECT id FROM seqs WHERE gc_content(seq) >= 0.5";
-    "SELECT id FROM seqs WHERE length(seq) > 40";
-    Printf.sprintf "SELECT id FROM seqs WHERE contains(seq, '%s')" motif;
-    Printf.sprintf
-      "SELECT id, organism FROM seqs WHERE gc_content(seq) >= 0.4 AND \
-       contains(seq, '%s') AND length(seq) > 20"
-      motif;
-    "SELECT id FROM seqs WHERE 0.5 <= gc_content(seq) AND 60 >= length(seq)";
-    "SELECT organism, count(*) FROM seqs WHERE gc_content(seq) < 0.5 GROUP BY \
-     organism ORDER BY organism";
+    ( "SELECT id FROM seqs WHERE gc_content(seq) >= 0.5",
+      ids_where (fun (_, _, t) -> gc_of t >= 0.5) );
+    ( "SELECT id FROM seqs WHERE length(seq) > 40",
+      ids_where (fun (_, _, t) -> String.length t > 40) );
+    ( Printf.sprintf "SELECT id FROM seqs WHERE contains(seq, '%s')" motif,
+      ids_where (fun (_, _, t) -> has motif t) );
+    ( Printf.sprintf
+        "SELECT id, organism FROM seqs WHERE gc_content(seq) >= 0.4 AND \
+         contains(seq, '%s') AND length(seq) > 20"
+        motif,
+      List.filter_map (fun (id, org, t) ->
+          if gc_of t >= 0.4 && has motif t && String.length t > 20 then
+            Some [| D.Int id; D.Str org |]
+          else None) );
+    ( "SELECT id FROM seqs WHERE 0.5 <= gc_content(seq) AND 60 >= length(seq)",
+      ids_where (fun (_, _, t) -> 0.5 <= gc_of t && 60 >= String.length t) );
+    ( "SELECT organism, count(*) FROM seqs WHERE gc_content(seq) < 0.5 GROUP BY \
+       organism ORDER BY organism",
+      fun reads ->
+        let kept = List.filter (fun (_, _, t) -> gc_of t < 0.5) reads in
+        List.sort_uniq compare (List.map (fun (_, org, _) -> org) kept)
+        |> List.map (fun org ->
+               let n = List.length (List.filter (fun (_, o, _) -> o = org) kept) in
+               [| D.Str org; D.Int n |]) );
   ]
 
 let run_q db sql =
@@ -269,63 +308,54 @@ let run_q db sql =
   | Ok _ -> Error "not rows"
   | Error e -> Error e
 
+let rows_q db sql = Result.map snd (run_q db sql)
+
 let with_jobs n f =
   let prev = Par.jobs () in
   Par.set_jobs n;
   Fun.protect ~finally:(fun () -> Par.set_jobs prev) f
 
-let with_vec b f =
-  Exec.set_vectorized_enabled b;
-  Fun.protect ~finally:(fun () -> Exec.set_vectorized_enabled true) f
-
-let test_vec_equals_tuple () =
-  let db = seq_fixture () in
+let test_vec_equals_naive () =
+  let db, reads = seq_fixture () in
   List.iter
-    (fun sql ->
-      let vec = with_vec true (fun () -> run_q db sql) in
-      let tup = with_vec false (fun () -> run_q db sql) in
-      check Alcotest.bool ("vec = tuple: " ^ sql) true (vec = tup);
-      check Alcotest.bool ("returns rows: " ^ sql) true (Result.is_ok vec);
+    (fun (sql, expected) ->
+      let want = expected reads in
       (* the fixture makes every query select a nonempty proper subset *)
-      match vec with
-      | Ok (_, rows) ->
-          check Alcotest.bool ("selective: " ^ sql) true
-            (rows <> [] && List.length rows < 2600)
-      | Error _ -> ())
+      check Alcotest.bool ("selective: " ^ sql) true
+        (want <> [] && List.length want < 2600);
+      check Alcotest.bool ("vec = naive reference: " ^ sql) true
+        (rows_q db sql = Ok want))
     queries
 
 let test_vec_jobs_invariant () =
-  let db = seq_fixture () in
+  let db, _ = seq_fixture () in
   List.iter
-    (fun sql ->
+    (fun (sql, _) ->
       let r1 = with_jobs 1 (fun () -> run_q db sql) in
       let r4 = with_jobs 4 (fun () -> run_q db sql) in
       check Alcotest.bool ("jobs 1 = jobs 4: " ^ sql) true (r1 = r4))
     queries
 
 let test_vec_error_semantics () =
-  let db = seq_fixture () in
-  (* the division errors only at id = 1500 — chunk 2 of 3. The error,
-     and which row wins, must match the tuple path under any jobs *)
+  let db, _ = seq_fixture () in
+  (* the division errors only at id = 1500 — chunk 2 of 3. The error
+     must surface under any jobs setting *)
   let sql = "SELECT id FROM seqs WHERE length(seq) >= 0 AND 1 / (1500 - id) = 0" in
-  let vec = with_jobs 4 (fun () -> run_q db sql) in
-  let tup = with_vec false (fun () -> with_jobs 1 (fun () -> run_q db sql)) in
-  check Alcotest.bool "error result identical" true (vec = tup);
-  check Alcotest.bool "is the division error" true
-    (match vec with Error e -> e = "division by zero" | Ok _ -> false);
-  (* NULL sequence: the kernel cannot decide the row, so the tuple
-     evaluator's unknown-function error must surface identically *)
+  List.iter
+    (fun jobs ->
+      check Alcotest.bool
+        (Printf.sprintf "is the division error (jobs %d)" jobs)
+        true
+        (with_jobs jobs (fun () -> run_q db sql) = Error "division by zero"))
+    [ 1; 4 ];
+  (* NULL sequence: the kernel cannot decide the row, so the row
+     evaluator's unknown-function error must surface *)
   let db2 = mk_db () in
   ignore (run db2 "CREATE TABLE t (id int, seq dna)");
   ignore (run db2 "INSERT INTO t VALUES (1, dna('ACGT')), (2, NULL)");
-  let sql2 = "SELECT id FROM t WHERE gc_content(seq) > 0.1" in
-  let vec2 = run_q db2 sql2 in
-  let tup2 = with_vec false (fun () -> run_q db2 sql2) in
-  check Alcotest.bool "null-row error identical" true (vec2 = tup2);
   check Alcotest.bool "is the unknown-function error" true
-    (match vec2 with
-    | Error e -> e = "unknown function gc_content(string)"
-    | Ok _ -> false)
+    (run_q db2 "SELECT id FROM t WHERE gc_content(seq) > 0.1"
+    = Error "unknown function gc_content(string)")
 
 let explain_text db sql =
   match run_q db sql with
@@ -339,7 +369,7 @@ let has_sub hay needle =
   nn = 0 || go 0
 
 let test_vec_explain () =
-  let db = seq_fixture ~rows:300 () in
+  let db, _ = seq_fixture ~rows:300 () in
   let sql = "SELECT id FROM seqs WHERE gc_content(seq) >= 0.5" in
   let plan = explain_text db ("EXPLAIN " ^ sql) in
   check Alcotest.bool "EXPLAIN names the kernel" true
@@ -359,13 +389,10 @@ let test_vec_explain () =
     (has_sub multi "packed-len(seq)" && has_sub multi "packed-contains(seq)");
   (* unresolvable shapes stay unannotated *)
   let none = explain_text db "EXPLAIN SELECT id FROM seqs WHERE organism = 'org1'" in
-  check Alcotest.bool "no kernel, no annotation" true (not (has_sub none "vec ["));
-  with_vec false (fun () ->
-      let off = explain_text db ("EXPLAIN " ^ sql) in
-      check Alcotest.bool "disabled: no annotation" true (not (has_sub off "vec [")))
+  check Alcotest.bool "no kernel, no annotation" true (not (has_sub none "vec ["))
 
 let test_vec_counters () =
-  let db = seq_fixture ~rows:300 () in
+  let db, _ = seq_fixture ~rows:300 () in
   Obs.set_enabled true;
   Fun.protect
     ~finally:(fun () ->
@@ -425,39 +452,46 @@ let kernel_props =
 (* one shared db per property run: table rebuilt per case is too slow,
    so cases draw fresh random predicates over a fixed 600-row table *)
 let sql_equiv_prop =
-  let db = lazy (seq_fixture ~rows:600 ()) in
+  let fixture = lazy (seq_fixture ~rows:600 ()) in
   let gen =
     Q.Gen.(
       pair (int_bound 3)
         (pair (int_bound 100) (pair (int_bound 80) (int_bound 1))))
   in
-  qtest ~count:40 "SQL: vec = tuple, jobs-invariant" gen
+  qtest ~count:40 "SQL: vec = naive reference, jobs 1 and 3" gen
     (fun (shape, (gc100, (len, lit_first))) ->
-      let db = Lazy.force db in
-      let gc = float_of_int gc100 /. 100. in
-      let sql =
+      let db, reads = Lazy.force fixture in
+      (* the literal exactly as the SQL text spells it *)
+      let lit = Printf.sprintf "%.2f" (float_of_int gc100 /. 100.) in
+      let gc = float_of_string lit in
+      let sql, keep =
         match shape with
         | 0 ->
-            if lit_first = 1 then
-              Printf.sprintf "SELECT id FROM seqs WHERE %.2f <= gc_content(seq)" gc
-            else
-              Printf.sprintf "SELECT id FROM seqs WHERE gc_content(seq) >= %.2f" gc
-        | 1 -> Printf.sprintf "SELECT id FROM seqs WHERE length(seq) > %d" len
+            ( (if lit_first = 1 then
+                 Printf.sprintf "SELECT id FROM seqs WHERE %s <= gc_content(seq)" lit
+               else
+                 Printf.sprintf "SELECT id FROM seqs WHERE gc_content(seq) >= %s" lit),
+              fun t -> gc_of t >= gc )
+        | 1 ->
+            ( Printf.sprintf "SELECT id FROM seqs WHERE length(seq) > %d" len,
+              fun t -> String.length t > len )
         | 2 ->
-            Printf.sprintf
-              "SELECT id FROM seqs WHERE contains(seq, '%s') AND length(seq) \
-               <= %d"
-              (String.sub motif 0 (4 + (len mod 8)))
-              len
+            let pattern = String.sub motif 0 (4 + (len mod 8)) in
+            ( Printf.sprintf
+                "SELECT id FROM seqs WHERE contains(seq, '%s') AND length(seq) \
+                 <= %d"
+                pattern len,
+              fun t -> has pattern t && String.length t <= len )
         | _ ->
-            Printf.sprintf
-              "SELECT id FROM seqs WHERE gc_content(seq) < %.2f AND \
-               contains(seq, 'ACG')"
-              gc
+            ( Printf.sprintf
+                "SELECT id FROM seqs WHERE gc_content(seq) < %s AND \
+                 contains(seq, 'ACG')"
+                lit,
+              fun t -> gc_of t < gc && has "ACG" t )
       in
-      let vec = with_jobs 3 (fun () -> run_q db sql) in
-      let tup = with_vec false (fun () -> with_jobs 1 (fun () -> run_q db sql)) in
-      vec = tup)
+      let want = Ok (ids_where (fun (_, _, t) -> keep t) reads) in
+      with_jobs 1 (fun () -> rows_q db sql) = want
+      && with_jobs 3 (fun () -> rows_q db sql) = want)
 
 let suites =
   [
@@ -471,7 +505,7 @@ let suites =
       ] );
     ( "vec.exec",
       [
-        tc "vectorized = tuple rows" `Quick test_vec_equals_tuple;
+        tc "vectorized = naive reference" `Quick test_vec_equals_naive;
         tc "jobs-invariant" `Quick test_vec_jobs_invariant;
         tc "error semantics identical" `Quick test_vec_error_semantics;
         tc "EXPLAIN surfaces kernels" `Quick test_vec_explain;
