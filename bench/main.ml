@@ -1141,7 +1141,7 @@ let overhead () =
 let cache_bench () =
   let module Lru = Genalg_cache.Lru in
   heading "CACHE" "Multi-layer caching: cold vs warm latency and hit rates";
-  note "layers: buffer pool (storage) / plan+result caches (sqlx) / mediator TTL cache";
+  note "layers: plan+result caches (sqlx) / mediator TTL cache";
   let ok = function Ok v -> v | Error m -> failwith m in
   (* warehouse: one 4000-row table queried with a filtered aggregate *)
   let db = Db.create () in
@@ -1156,27 +1156,9 @@ let cache_bench () =
             D.Int (i * 37 mod 2000) |])
   done;
   let sql = "SELECT count(*) FROM frag WHERE len >= 500" in
-  (* a standalone heap for the page layer: ~80 pages of 120-byte records *)
-  let module Heap = Genalg_storage.Heap in
-  let heap = Heap.create () in
-  let rids =
-    List.init 5000 (fun i ->
-        Heap.insert heap (Bytes.of_string (Printf.sprintf "record-%04d-%s" i (String.make 100 'x'))))
-  in
   Exec.clear_statement_caches ();
   Lru.reset_registry_stats ();
-  (* layer 1: buffer pool. Page-sparse point reads, with decoded frames
-     resident versus dropped (each touched page image re-decoded and
-     re-validated). *)
-  let sample = List.filteri (fun i _ -> i mod 40 = 0) rids in
-  let scan () = List.iter (fun rid -> ignore (Heap.get heap rid)) sample in
-  let t_page_cold =
-    measure (fun () ->
-        Heap.drop_page_cache heap;
-        scan ())
-  in
-  let t_page_warm = measure scan in
-  (* layer 2: statement caches. cold pays parse + plan + execute every
+  (* layer 1: statement caches. cold pays parse + plan + execute every
      time; warm is a result-cache hit. *)
   let t_query_cold =
     measure (fun () ->
@@ -1188,7 +1170,7 @@ let cache_bench () =
      result-cached, so the second one is a pure plan-cache hit *)
   ignore (ok (Exec.query db ~actor ("EXPLAIN " ^ sql)));
   ignore (ok (Exec.query db ~actor ("EXPLAIN " ^ sql)));
-  (* layer 3: mediator response cache over a non-queryable flat-file
+  (* layer 2: mediator response cache over a non-queryable flat-file
      source — a miss re-parses the textual dump (the wrapper work). *)
   let entries =
     Genalg_synth.Recordgen.repository (rng ()) ~size:200 ~prefix:"CB" ()
@@ -1208,8 +1190,6 @@ let cache_bench () =
   print_table
     [ "layer"; "cold"; "warm"; "speedup" ]
     [
-      [ "buffer pool (point reads)"; fmt_ms t_page_cold; fmt_ms t_page_warm;
-        speedup t_page_cold t_page_warm ];
       [ "plan+result cache (query)"; fmt_ms t_query_cold; fmt_ms t_query_warm;
         speedup t_query_cold t_query_warm ];
       [ "mediator TTL cache (run)"; fmt_ms t_med_cold; fmt_ms t_med_warm;
@@ -1230,9 +1210,7 @@ let cache_bench () =
   let hit_of name =
     match List.assoc_opt name stats with Some s -> s.Lru.hits | None -> 0
   in
-  let warm_ok =
-    hit_of "bufferpool" > 0 && hit_of "result" > 0 && hit_of "mediator" > 0
-  in
+  let warm_ok = hit_of "result" > 0 && hit_of "mediator" > 0 in
   (* machine-checkable marker for ci.sh's cache smoke step *)
   Printf.printf "cache-smoke: warm-hit-rate-nonzero=%s\n"
     (if warm_ok then "yes" else "no");

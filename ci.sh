@@ -181,6 +181,40 @@ for f in README.md DESIGN.md EXPERIMENTS.md ROADMAP.md docs/*.md; do
     }
   done
 done
+# instrument tables in docs/OBSERVABILITY.md must match the code, both
+# ways: every documented name is a string literal under lib/ (cache.<name>.*
+# rows against the Lru.create ~name literals; a <placeholder> suffix
+# matches the literal prefix), and every Obs.counter/Obs.histogram literal
+# is documented
+doc_names=$(grep -oE '^\| `[^`]+` \|' docs/OBSERVABILITY.md | sed 's/^| `//; s/` |$//' | sort -u)
+code_names=$(grep -rhoE 'Obs\.(counter|histogram) "[^"]+"' lib | sed 's/^[^"]*"//; s/"$//' | sort -u)
+lru_names=$(grep -rhoE 'Lru\.create ~name:"[^"]+"' lib | sed 's/^[^"]*"//; s/"$//' | sort -u)
+for n in $doc_names; do
+  case "$n" in
+    cache.*)
+      family=${n#cache.}
+      echo "$lru_names" | grep -qxF "${family%%.*}" || {
+        echo "docs check FAILED: docs/OBSERVABILITY.md lists $n but no Lru.create ~name:\"${family%%.*}\" exists under lib/" >&2
+        exit 1
+      } ;;
+    *"<"*)
+      grep -rqF "\"${n%%<*}" lib || {
+        echo "docs check FAILED: docs/OBSERVABILITY.md lists $n but no literal \"${n%%<*}...\" exists under lib/" >&2
+        exit 1
+      } ;;
+    *)
+      grep -rqF "\"$n\"" lib || {
+        echo "docs check FAILED: docs/OBSERVABILITY.md lists $n but no literal \"$n\" exists under lib/" >&2
+        exit 1
+      } ;;
+  esac
+done
+for n in $code_names; do
+  echo "$doc_names" | grep -qxF "$n" || {
+    echo "docs check FAILED: instrument $n is registered under lib/ but missing from docs/OBSERVABILITY.md" >&2
+    exit 1
+  }
+done
 echo "docs check ok"
 
 echo "== ci ok =="

@@ -29,7 +29,7 @@ let stats_of_tally y =
   }
 
 (* Per-name aggregates shared by every instance with that name, so
-   [genalg stats] can report e.g. all buffer pools as one row. *)
+   [genalg stats] reports one row per cache family. *)
 let registry : (string, tally) Hashtbl.t = Hashtbl.create 8
 
 let registry_tally name =
@@ -58,7 +58,6 @@ type ('k, 'v) node = {
   nkey : 'k;
   mutable nval : 'v;
   mutable weight : int;
-  mutable pins : int;
   mutable prev : ('k, 'v) node option; (* toward MRU *)
   mutable next : ('k, 'v) node option; (* toward LRU *)
 }
@@ -68,7 +67,6 @@ type ('k, 'v) t = {
   max_entries : int;
   max_bytes : int;
   weight_of : 'k -> 'v -> int;
-  on_evict : ('k -> 'v -> unit) option;
   tbl : ('k, ('k, 'v) node) Hashtbl.t;
   mutable mru : ('k, 'v) node option;
   mutable lru : ('k, 'v) node option;
@@ -82,7 +80,7 @@ type ('k, 'v) t = {
 }
 
 let create ~name ?(max_entries = 1024) ?(max_bytes = max_int)
-    ?(weight = fun _ _ -> 0) ?on_evict () =
+    ?(weight = fun _ _ -> 0) () =
   if max_entries < 1 then invalid_arg "Lru.create: max_entries < 1";
   if max_bytes < 0 then invalid_arg "Lru.create: max_bytes < 0";
   {
@@ -90,7 +88,6 @@ let create ~name ?(max_entries = 1024) ?(max_bytes = max_int)
     max_entries;
     max_bytes;
     weight_of = weight;
-    on_evict;
     tbl = Hashtbl.create 64;
     mru = None;
     lru = None;
@@ -158,26 +155,15 @@ let drop t n =
 let over_budget t =
   Hashtbl.length t.tbl > t.max_entries || t.bytes > t.max_bytes
 
-(* Evict unpinned entries from the LRU end until the bounds hold (or only
-   pinned entries remain, in which case the bounds are transiently
-   exceeded — see the .mli). *)
-let evict_to_fit t =
-  let rec victim = function
-    | None -> None
-    | Some n when n.pins = 0 -> Some n
-    | Some n -> victim n.prev
-  in
-  let rec go () =
-    if over_budget t then
-      match victim t.lru with
-      | None -> ()
-      | Some n ->
-          drop t n;
-          note_eviction t;
-          (match t.on_evict with Some f -> f n.nkey n.nval | None -> ());
-          go ()
-  in
-  go ()
+(* Evict from the LRU end until the bounds hold. *)
+let rec evict_to_fit t =
+  if over_budget t then
+    match t.lru with
+    | None -> ()
+    | Some n ->
+        drop t n;
+        note_eviction t;
+        evict_to_fit t
 
 let find_validated t k ~validate =
   match Hashtbl.find_opt t.tbl k with
@@ -224,7 +210,7 @@ let put t k v =
         n.weight <- w;
         touch t n
     | None ->
-        let n = { nkey = k; nval = v; weight = w; pins = 0; prev = None; next = None } in
+        let n = { nkey = k; nval = v; weight = w; prev = None; next = None } in
         Hashtbl.add t.tbl k n;
         push_mru t n;
         t.bytes <- t.bytes + w);
@@ -251,19 +237,6 @@ let invalidate_where t pred =
   let n = List.length victims in
   note_invalidation t n;
   n
-
-let pin t k =
-  match Hashtbl.find_opt t.tbl k with
-  | Some n ->
-      n.pins <- n.pins + 1;
-      touch t n;
-      true
-  | None -> false
-
-let unpin t k =
-  match Hashtbl.find_opt t.tbl k with
-  | Some n -> if n.pins > 0 then n.pins <- n.pins - 1
-  | None -> ()
 
 let mem t k = Hashtbl.mem t.tbl k
 let length t = Hashtbl.length t.tbl

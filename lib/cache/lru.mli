@@ -1,14 +1,9 @@
-(** A generic bounded LRU cache with pin counts, the shared core behind the
-    storage buffer pool, the sqlx statement/plan/result caches, and the
-    mediator response cache.
+(** A generic bounded LRU cache, the shared core behind the sqlx
+    plan/result caches and the mediator response cache.
 
     Bounds: [max_entries] caps the entry count and [max_bytes] caps the sum
     of entry weights (as computed by [weight]). When either bound is
-    exceeded the cache evicts from the least-recently-used end, skipping
-    pinned entries. Pinned entries are never evicted, so a workload that
-    pins more than the capacity can transiently exceed the bounds — the
-    bounds are re-established as soon as pins are released and another
-    insertion occurs.
+    exceeded the cache evicts from the least-recently-used end.
 
     An entry whose own weight exceeds [max_bytes] is never admitted
     (counted under [rejections]); admitting it would immediately purge the
@@ -17,7 +12,7 @@
     Every cache keeps two sets of statistics:
     - always-on internal tallies ({!stats}, {!registry_stats}) used by the
       [CACHE] bench and [genalg stats], aggregated per cache {i name}
-      across instances (all buffer pools share one "bufferpool" row);
+      across instances;
     - [Obs] counters [cache.<name>.{hits,misses,evictions,invalidations}],
       gated by [Obs.set_enabled] like every other instrument and listed in
       [docs/OBSERVABILITY.md].
@@ -30,7 +25,7 @@ type ('k, 'v) t
 type stats = {
   hits : int;
   misses : int;
-  evictions : int;  (** capacity-driven removals (pinned entries exempt) *)
+  evictions : int;  (** capacity-driven removals *)
   invalidations : int;
       (** explicit removals via {!invalidate} / {!invalidate_where},
           including TTL expiries counted by callers *)
@@ -42,16 +37,12 @@ val create :
   ?max_entries:int ->
   ?max_bytes:int ->
   ?weight:('k -> 'v -> int) ->
-  ?on_evict:('k -> 'v -> unit) ->
   unit ->
   ('k, 'v) t
 (** [create ~name ()] makes an empty cache. [name] selects the
     [cache.<name>.*] instrument family and the {!registry_stats} row.
     [max_entries] defaults to 1024, [max_bytes] to [max_int], [weight] to
-    [fun _ _ -> 0]. [on_evict] is called for each capacity eviction (after
-    the entry has been detached) — the buffer pool uses it for dirty-page
-    write-back. It is {i not} called by {!remove}, {!invalidate} or
-    {!clear}. *)
+    [fun _ _ -> 0]. *)
 
 val find : ('k, 'v) t -> 'k -> 'v option
 (** Lookup; a hit refreshes the entry's recency. Counts a hit or miss. *)
@@ -66,12 +57,11 @@ val peek : ('k, 'v) t -> 'k -> 'v option
 
 val put : ('k, 'v) t -> 'k -> 'v -> unit
 (** Insert or replace, making the entry most-recently-used, then evict
-    until the bounds hold (pinned entries are skipped). *)
+    until the bounds hold. *)
 
 val remove : ('k, 'v) t -> 'k -> bool
-(** Detach an entry regardless of pins; pins on a removed key become
-    no-ops. Counts nothing — use {!invalidate} when the removal is a
-    cache-coherence event. *)
+(** Detach an entry. Counts nothing — use {!invalidate} when the removal
+    is a cache-coherence event. *)
 
 val invalidate : ('k, 'v) t -> 'k -> bool
 (** {!remove} counted under [invalidations]. *)
@@ -83,13 +73,6 @@ val invalidate_where : ('k, 'v) t -> ('k -> 'v -> bool) -> int
 val note_invalidation : ('k, 'v) t -> int -> unit
 (** Count [n] invalidations that the caller performed by other means
     (e.g. a TTL expiry detected at lookup). *)
-
-val pin : ('k, 'v) t -> 'k -> bool
-(** Increment the entry's pin count (false if absent). A pinned entry is
-    never evicted. Refreshes recency. *)
-
-val unpin : ('k, 'v) t -> 'k -> unit
-(** Decrement the pin count (no-op if absent or already zero). *)
 
 val mem : ('k, 'v) t -> 'k -> bool
 val length : ('k, 'v) t -> int
@@ -104,9 +87,7 @@ val keys : ('k, 'v) t -> 'k list
 (** Most-recently-used first. *)
 
 val clear : ('k, 'v) t -> unit
-(** Drop everything (pins included) without counting evictions and
-    without calling [on_evict]; callers owning dirty state must flush
-    first. *)
+(** Drop everything without counting evictions. *)
 
 val stats : ('k, 'v) t -> stats
 (** This instance's tallies (always on, independent of [Obs]). *)

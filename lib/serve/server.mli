@@ -29,7 +29,7 @@
 
     Instruments ([docs/OBSERVABILITY.md]): [serve.connections],
     [serve.sessions.{opened,closed}],
-    [serve.admission.{rejected,breaker_open}],
+    [serve.admission.{rejected,version_rejected,breaker_open}],
     [serve.queries], [serve.query_errors], [serve.query] (histogram),
     [serve.txn.{begin,commit,rollback,conflict}],
     [serve.group_commit.{batches,commits}], [serve.wal.replayed]. *)

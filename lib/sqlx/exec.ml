@@ -153,11 +153,12 @@ let eval_in_group db group expr =
 (* ------------------------------------------------------------------ *)
 (* Parallel row filtering and join expansion.
 
-   Rows are decoded from the buffer pool sequentially (the pool and heap
-   are not domain-safe); the decoded, immutable binding arrays are then
-   partitioned over the {!Par} pool. Each partition writes only its own
-   slot and partitions are merged in input order, so results — including
-   which error surfaces first — are identical for any jobs setting.      *)
+   Rows are decoded from the heap sequentially (page reads tick
+   unsynchronized Obs counters); the decoded, immutable binding arrays
+   are then partitioned over the {!Par} pool. Each partition writes only
+   its own slot and partitions are merged in input order, so results —
+   including which error surfaces first — are identical for any jobs
+   setting. *)
 
 let par_row_threshold = 256
 
@@ -382,27 +383,12 @@ let exec_join_step db (step : Plan.join_step) ~right_rows acc_rows =
   expand_ordered ~expand (Array.of_list acc_rows)
 
 (* ------------------------------------------------------------------ *)
-(* Statement caches (docs/CACHING.md): a parse cache keyed on the
-   normalized statement text, a plan cache and a read-only result cache
-   keyed on (database id, actor, optimize flag, SELECT ast). Plan and
-   result entries carry the version counters of every table they touched
-   and are validated on lookup, so invalidation is correct no matter
-   which path wrote (sqlx, the ETL loader, or direct Table calls);
+(* Statement caches (docs/CACHING.md): a plan cache and a read-only
+   result cache keyed on (database id, actor, optimize flag, SELECT ast).
+   Plan and result entries carry the version counters of every table they
+   touched and are validated on lookup, so invalidation is correct no
+   matter which path wrote (sqlx, the ETL loader, or direct Table calls);
    SQL writes additionally sweep eagerly via [invalidate_table]. *)
-
-let normalize_statement s =
-  let buf = Buffer.create (String.length s) in
-  let pending_space = ref false in
-  String.iter
-    (fun c ->
-      match c with
-      | ' ' | '\t' | '\n' | '\r' -> if Buffer.length buf > 0 then pending_space := true
-      | c ->
-          if !pending_space then Buffer.add_char buf ' ';
-          pending_space := false;
-          Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
 
 type query_key = {
   qk_db : int;
@@ -426,9 +412,6 @@ type result_entry = {
   re_deps : (string * int * int) list; (* table, data_version, schema_version *)
 }
 
-let stmt_cache : (string, Ast.stmt) Lru.t =
-  Lru.create ~name:"stmt" ~max_entries:512 ()
-
 let plan_cache : (query_key, plan_entry) Lru.t =
   Lru.create ~name:"plan" ~max_entries:256 ()
 
@@ -448,7 +431,6 @@ let result_cache : (query_key, result_entry) Lru.t =
     ~weight:result_weight ()
 
 let clear_statement_caches () =
-  Lru.clear stmt_cache;
   Lru.clear plan_cache;
   Lru.clear result_cache
 
@@ -1231,15 +1213,7 @@ let run ?optimize db ~actor stmt =
               Ok (Affected n)))
 
 let query ?optimize db ~actor input =
-  let* stmt =
-    let key = normalize_statement input in
-    match Lru.find stmt_cache key with
-    | Some stmt -> Ok stmt
-    | None ->
-        let* stmt = Parser.parse input in
-        Lru.put stmt_cache key stmt;
-        Ok stmt
-  in
+  let* stmt = Parser.parse input in
   run ?optimize db ~actor stmt
 
 (* column widths in code points, not bytes — EXPLAIN ANALYZE output

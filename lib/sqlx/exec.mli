@@ -75,15 +75,13 @@ val query :
   ?optimize:bool ->
   Genalg_storage.Database.t -> actor:string -> string ->
   (outcome, string) result
-(** Parse then {!run}. Parsing goes through the statement cache, keyed
-    on the whitespace-normalized statement text. *)
+(** Parse then {!run}. *)
 
 (** {1 Statement caches}
 
-    Three process-wide LRUs with fixed bounds back {!query} and {!run}
-    (full story in [docs/CACHING.md]):
+    Two process-wide LRUs with fixed bounds back {!run} (full story in
+    [docs/CACHING.md]):
 
-    - [cache.stmt] — normalized statement text -> parsed AST;
     - [cache.plan] — (database id, actor, optimize, SELECT ast) -> plan,
       validated against table schema versions and the catalog version;
     - [cache.result] — same key -> result set for read-only SELECTs
@@ -101,7 +99,7 @@ val invalidate_table : Genalg_storage.Database.t -> table:string -> int
     [cache.{plan,result}.invalidations]). *)
 
 val clear_statement_caches : unit -> unit
-(** Empty all three caches (statistics are kept). For tests/benches. *)
+(** Empty both caches (statistics are kept). For tests/benches. *)
 
 val render : Genalg_storage.Database.t -> result_set -> string
 (** ASCII table with UDT-aware value display. *)

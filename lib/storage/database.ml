@@ -141,9 +141,6 @@ let tables t =
 
 let table_count t = List.length t.entries
 
-let flush_buffers t =
-  List.iter (fun e -> Table.drop_page_cache e.table) t.entries
-
 (* --------------------------------------------------------------- *)
 (* Persistence: crash-safe, checksummed snapshots.
 

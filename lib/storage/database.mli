@@ -26,10 +26,6 @@ val catalog_version : t -> int
     anything that can change how a name resolves or who may read it.
     Cache-coherence token (see [docs/CACHING.md]). *)
 
-val flush_buffers : t -> unit
-(** Drop every table's buffer-pool frames (dirty pages are written back
-    first). The next reads start cold; used by the [CACHE] bench. *)
-
 val loader_actor : string
 (** The distinguished actor ("etl") allowed to write the public space. *)
 

@@ -1,5 +1,5 @@
 (** Heap files: an append-friendly sequence of slotted pages addressed by
-    record ids. *)
+    record ids. Pages live decoded in memory; there is no page cache. *)
 
 type t
 
@@ -26,13 +26,3 @@ val fold : (rid -> bytes -> 'a -> 'a) -> t -> 'a -> 'a
 
 val record_count : t -> int
 val page_count : t -> int
-
-val flush : t -> unit
-(** Write every dirty buffered page back to its serialized image. *)
-
-val drop_page_cache : t -> unit
-(** {!flush}, then empty the heap's buffer pool so the next reads start
-    cold ([cache.bufferpool.misses] ticks again). For benchmarks. *)
-
-val to_bytes : t -> bytes
-val of_bytes : bytes -> (t, string) result

@@ -146,23 +146,7 @@ let update t i record =
     end
   end
 
-
 let iter f t =
   for i = 0 to slot_count t - 1 do
     match get t i with Some record -> f i record | None -> ()
   done
-
-let to_bytes t = Bytes.copy t.data
-
-let of_bytes data =
-  if Bytes.length data <> page_size then
-    Error
-      (Printf.sprintf "Page.of_bytes: expected %d bytes, got %d" page_size
-         (Bytes.length data))
-  else begin
-    let t = { data = Bytes.copy data } in
-    let n = slot_count t in
-    if n < 0 || header + (n * slot_bytes) > page_size then
-      Error "Page.of_bytes: corrupt slot count"
-    else Ok t
-  end

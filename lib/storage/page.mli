@@ -40,8 +40,3 @@ val compact : t -> unit
 
 val iter : (int -> bytes -> unit) -> t -> unit
 (** Live records in slot order. *)
-
-val to_bytes : t -> bytes
-(** Serialize the page verbatim (page image). *)
-
-val of_bytes : bytes -> (t, string) result

@@ -121,7 +121,6 @@ let fold t ~init ~f =
 
 let row_count t = Heap.record_count t.heap
 let page_count t = Heap.page_count t.heap
-let drop_page_cache t = Heap.drop_page_cache t.heap
 
 let create_index t ~column =
   let col = String.lowercase_ascii column in

@@ -27,9 +27,6 @@ val fold : t -> init:'a -> f:('a -> Heap.rid -> Dtype.value array -> 'a) -> 'a
 val row_count : t -> int
 val page_count : t -> int
 
-val drop_page_cache : t -> unit
-(** Flush and empty the heap's buffer pool (cold restart). For benches. *)
-
 (** {1 Version counters — cache-coherence tokens}
 
     Every cache above the storage engine validates entries against these

@@ -1,12 +1,10 @@
-(* Integration tests for the caching layers (lib/cache + buffer pool +
-   sqlx statement caches + mediator response cache): staleness safety
-   after writes and ETL deltas, plan reuse, buffer-pool write-back. *)
+(* Integration tests for the caching layers (lib/cache + sqlx statement
+   caches + mediator response cache): staleness safety after writes and
+   ETL deltas, plan reuse. *)
 
 module D = Genalg_storage.Dtype
 module Db = Genalg_storage.Database
 module Table = Genalg_storage.Table
-module Buffer_pool = Genalg_storage.Buffer_pool
-module Heap = Genalg_storage.Heap
 module Exec = Genalg_sqlx.Exec
 module Source = Genalg_etl.Source
 module Monitor = Genalg_etl.Monitor
@@ -109,15 +107,14 @@ let test_analyze_invalidates_plan_cache () =
   check Alcotest.int "the re-planned entry caches again" 2
     (counter "cache.plan.hits")
 
-let test_result_cache_hit_and_stmt_cache () =
+let test_result_cache_hit () =
   isolated @@ fun () ->
   let db = fixture_db () in
   Obs.reset ();
-  let q = "SELECT count(*)   FROM frag" (* odd spacing: normalization folds it *) in
+  let q = "SELECT count(*)   FROM frag" (* odd spacing: the key is the parsed AST *) in
   check Alcotest.int "cold count" 20 (count_of db q);
   check Alcotest.int "warm count identical" 20 (count_of db "SELECT count(*) FROM frag");
   check Alcotest.int "result cache hit" 1 (counter "cache.result.hits");
-  check Alcotest.int "normalized text shares the parse" 1 (counter "cache.stmt.hits");
   check Alcotest.int "queries still counted on hits" 2 (counter "sqlx.queries")
 
 (* ---- sqlx: staleness safety --------------------------------------------- *)
@@ -253,56 +250,6 @@ let test_uncached_mediator_unchanged () =
   check Alcotest.int "and again" (List.length entries) t2.Mediator.records_shipped;
   check Alcotest.int "no cache instruments touched" 0 (counter "cache.mediator.hits")
 
-(* ---- storage: buffer pool ----------------------------------------------- *)
-
-let test_buffer_pool_write_back () =
-  (* a pool far smaller than the heap forces evictions of dirty pages;
-     every record must survive the write-back round trip *)
-  isolated @@ fun () ->
-  let saved = Buffer_pool.default_capacity () in
-  Buffer_pool.set_default_capacity 4;
-  Fun.protect ~finally:(fun () -> Buffer_pool.set_default_capacity saved)
-  @@ fun () ->
-  let h = Heap.create () in
-  let n = 2000 in
-  let rids =
-    List.init n (fun i -> (i, Heap.insert h (Bytes.of_string (Printf.sprintf "record-%04d" i))))
-  in
-  check Alcotest.bool "spilled well past the pool" true (Heap.page_count h > 4);
-  check Alcotest.bool "evictions happened" true (counter "cache.bufferpool.evictions" > 0);
-  List.iter
-    (fun (i, rid) ->
-      match Heap.get h rid with
-      | Some b ->
-          check Alcotest.string
-            (Printf.sprintf "record %d intact" i)
-            (Printf.sprintf "record-%04d" i)
-            (Bytes.to_string b)
-      | None -> Alcotest.failf "record %d lost" i)
-    rids;
-  (* serialization flushes dirty frames; a reload starts cold and still
-     sees everything *)
-  let h2 = Result.get_ok (Heap.of_bytes (Heap.to_bytes h)) in
-  check Alcotest.int "reload keeps every record" n (Heap.record_count h2);
-  let misses0 = counter "cache.bufferpool.misses" in
-  check Alcotest.bool "reloaded heap reads fine" true
-    (Heap.get h2 (snd (List.nth rids (n / 2))) <> None);
-  check Alcotest.bool "cold reload decodes on miss" true
-    (counter "cache.bufferpool.misses" > misses0)
-
-let test_buffer_pool_warm_hits () =
-  isolated @@ fun () ->
-  let h = Heap.create () in
-  let rid = Heap.insert h (Bytes.of_string "payload") in
-  Heap.drop_page_cache h;
-  Obs.reset ();
-  ignore (Heap.get h rid);
-  check Alcotest.int "first read after a cold drop misses" 1
-    (counter "cache.bufferpool.misses");
-  ignore (Heap.get h rid);
-  ignore (Heap.get h rid);
-  check Alcotest.int "subsequent reads hit" 2 (counter "cache.bufferpool.hits")
-
 let suites =
   [
     ( "cache",
@@ -310,7 +257,7 @@ let suites =
         tc "plan cache reuses plans" `Quick test_plan_cache_reuses_plans;
         tc "ANALYZE invalidates cached plans" `Quick
           test_analyze_invalidates_plan_cache;
-        tc "result + stmt caches hit" `Quick test_result_cache_hit_and_stmt_cache;
+        tc "result cache hit" `Quick test_result_cache_hit;
         tc "INSERT/DELETE invalidate results" `Quick test_insert_invalidates_result_cache;
         tc "direct table write never stale" `Quick test_direct_table_write_validated;
         tc "ETL delta-refresh invalidates" `Quick test_etl_refresh_invalidates;
@@ -318,7 +265,5 @@ let suites =
         tc "mediator TTL expiry" `Quick test_mediator_ttl_expiry;
         tc "mediator delta invalidation" `Quick test_mediator_delta_invalidation;
         tc "uncached mediator baseline unchanged" `Quick test_uncached_mediator_unchanged;
-        tc "buffer pool write-back" `Quick test_buffer_pool_write_back;
-        tc "buffer pool warm hits" `Quick test_buffer_pool_warm_hits;
       ] );
   ]

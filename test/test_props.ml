@@ -185,8 +185,72 @@ let index_props =
 
 (* ---- storage ---------------------------------------------------------------------- *)
 
+type heap_op = H_ins of int | H_del of int | H_upd of int * int
+
+(* Record sizes from tiny to a full page payload, so inserts spill onto new
+   pages and growing updates outgrow their slot and relocate. *)
+let heap_ops_gen =
+  Q.Gen.(
+    let max_payload = Genalg_storage.Page.page_size - 16 in
+    let size =
+      frequency
+        [ (6, int_bound 300); (2, int_range 300 3000);
+          (1, int_range (max_payload - 1000) max_payload) ]
+    in
+    let ops =
+      list_size (int_bound 120)
+        (frequency
+           [ (5, map (fun n -> H_ins n) size);
+             (2, map (fun i -> H_del i) nat);
+             (3, map2 (fun i n -> H_upd (i, n)) nat size) ])
+    in
+    (* two records that cannot share a page: every case spans pages *)
+    map (fun ops -> H_ins 5000 :: H_ins 5000 :: ops) ops)
+
+let heap_model_agrees ops =
+  let module Heap = Genalg_storage.Heap in
+  let h = Heap.create () in
+  let model = ref [] (* live (rid, payload) *) and dead = ref [] in
+  let fresh = ref 0 in
+  let payload n =
+    incr fresh;
+    let k = !fresh in
+    Bytes.init n (fun j -> Char.chr (65 + ((k * 7) + j) mod 26))
+  in
+  let ok = ref true in
+  let nth i = List.nth !model (i mod List.length !model) in
+  List.iter
+    (fun op ->
+      match op with
+      | H_ins n ->
+          let b = payload n in
+          model := (Heap.insert h b, b) :: !model
+      | H_del _ | H_upd _ when !model = [] -> ()
+      | H_del i ->
+          let rid, _ = nth i in
+          if not (Heap.delete h rid) then ok := false;
+          if Heap.delete h rid then ok := false;
+          model := List.remove_assoc rid !model;
+          dead := rid :: !dead
+      | H_upd (i, n) ->
+          let rid, _ = nth i in
+          let b = payload n in
+          let rid' = Heap.update h rid b in
+          model := (rid', b) :: List.remove_assoc rid !model;
+          if rid' <> rid then dead := rid :: !dead)
+    ops;
+  let live = List.sort compare !model in
+  let scanned = List.rev (Heap.fold (fun rid b acc -> (rid, b) :: acc) h []) in
+  !ok
+  && List.for_all (fun (rid, b) -> Heap.get h rid = Some b) live
+  && List.for_all (fun rid -> Heap.get h rid = None) !dead
+  && scanned = live
+  && Heap.record_count h = List.length live
+  && Heap.page_count h > 1
+
 let storage_props =
   [
+    qtest "heap agrees with an association-list model" heap_ops_gen heap_model_agrees;
     qtest "btree agrees with an association-list model"
       Q.Gen.(list_size (int_bound 300) (pair (int_bound 50) (int_bound 1000)))
       (fun pairs ->
@@ -355,119 +419,70 @@ let extra_props =
 (* ---- LRU cache invariants (lib/cache) ----------------------------------- *)
 (* Random op sequences against a reference model: an MRU-first assoc list
    with the same admit/touch/evict rules. Lockstep execution lets us
-   compare membership, values, recency order, and the exact eviction
-   sequence (observed through on_evict). *)
+   compare membership, values and the full recency order after every op;
+   matching orders at every step pin down the eviction sequence too. *)
 
 module Lru = Genalg_cache.Lru
 
-type lru_op = L_put of int * int | L_get of int | L_rm of int | L_pin of int | L_unpin of int
-
-type lru_model_entry = { mk : int; mutable mv : int; mutable mpins : int }
+type lru_op = L_put of int * int | L_get of int | L_rm of int
 
 let lru_cap = 8
 
-let lru_ops_gen ~with_pins =
+let lru_ops_gen =
   Q.Gen.(
     let key = int_bound 15 in
-    let base =
-      [ (4, map2 (fun k v -> L_put (k, v)) key (int_bound 1000));
-        (3, map (fun k -> L_get k) key);
-        (1, map (fun k -> L_rm k) key) ]
-    in
-    let pins = [ (2, map (fun k -> L_pin k) key); (2, map (fun k -> L_unpin k) key) ] in
-    list_size (int_bound 300) (frequency (if with_pins then base @ pins else base)))
+    list_size (int_bound 300)
+      (frequency
+         [ (4, map2 (fun k v -> L_put (k, v)) key (int_bound 1000));
+           (3, map (fun k -> L_get k) key);
+           (1, map (fun k -> L_rm k) key) ]))
 
 (* Run the ops through a real cache and the model in lockstep. Returns
-   (cache, model MRU-first, cache evictions, model evictions,
-    every-op capacity bound held, every Get agreed with the model). *)
+   (cache, model MRU-first, every-op capacity bound held, every Get
+    agreed with the model, every-op recency order agreed with the model). *)
 let lru_run ops =
-  let cache_evictions = ref [] in
-  let cache =
-    Lru.create ~name:"props" ~max_entries:lru_cap
-      ~on_evict:(fun k _ -> cache_evictions := k :: !cache_evictions)
-      ()
-  in
+  let cache = Lru.create ~name:"props" ~max_entries:lru_cap () in
   let model = ref [] in
-  let model_evictions = ref [] in
   let within_cap = ref true in
   let gets_coherent = ref true in
-  let mfind k = List.find_opt (fun e -> e.mk = k) !model in
-  let mdetach k = model := List.filter (fun e -> e.mk <> k) !model in
-  let mtouch e =
-    mdetach e.mk;
-    model := e :: !model
-  in
-  let mevict () =
-    (* evict the least-recent unpinned entry until within capacity *)
-    let continue = ref true in
-    while !continue && List.length !model > lru_cap do
-      match List.fold_left (fun acc e -> if e.mpins = 0 then Some e else acc) None !model with
-      | Some victim ->
-          mdetach victim.mk;
-          model_evictions := victim.mk :: !model_evictions
-      | None -> continue := false
-    done
-  in
+  let order_agrees = ref true in
+  let mdetach k = model := List.filter (fun (mk, _) -> mk <> k) !model in
   List.iter
     (fun op ->
       (match op with
-      | L_put (k, v) -> (
+      | L_put (k, v) ->
           Lru.put cache k v;
-          (match mfind k with
-          | Some e ->
-              e.mv <- v;
-              mtouch e
-          | None -> model := { mk = k; mv = v; mpins = 0 } :: !model);
-          mevict ())
+          mdetach k;
+          model := List.filteri (fun i _ -> i < lru_cap) ((k, v) :: !model)
       | L_get k -> (
           let got = Lru.find cache k in
-          match mfind k with
-          | Some e ->
-              mtouch e;
-              if got <> Some e.mv then gets_coherent := false
+          match List.assoc_opt k !model with
+          | Some v ->
+              mdetach k;
+              model := (k, v) :: !model;
+              if got <> Some v then gets_coherent := false
           | None -> if got <> None then gets_coherent := false)
       | L_rm k ->
           ignore (Lru.remove cache k);
-          mdetach k
-      | L_pin k -> (
-          ignore (Lru.pin cache k);
-          match mfind k with
-          | Some e ->
-              e.mpins <- e.mpins + 1;
-              mtouch e
-          | None -> ())
-      | L_unpin k -> (
-          Lru.unpin cache k;
-          match mfind k with
-          | Some e -> if e.mpins > 0 then e.mpins <- e.mpins - 1
-          | None -> ()));
-      if List.for_all (fun e -> e.mpins = 0) !model && Lru.length cache > lru_cap then
-        within_cap := false)
+          mdetach k);
+      if Lru.length cache > lru_cap then within_cap := false;
+      if Lru.keys cache <> List.map fst !model then order_agrees := false)
     ops;
-  (cache, !model, List.rev !cache_evictions, List.rev !model_evictions,
-   !within_cap, !gets_coherent)
+  (cache, !model, !within_cap, !gets_coherent, !order_agrees)
 
 let lru_props =
   [
-    qtest "capacity never exceeded (no pins)" (lru_ops_gen ~with_pins:false)
-      (fun ops ->
-        let cache, _, _, _, within_cap, _ = lru_run ops in
+    qtest "capacity never exceeded" lru_ops_gen (fun ops ->
+        let cache, _, within_cap, _, _ = lru_run ops in
         within_cap && Lru.length cache <= lru_cap);
-    qtest "pinned entries never evicted" (lru_ops_gen ~with_pins:true) (fun ops ->
-        (* the model never evicts a pinned entry by construction, so a
-           matching eviction sequence proves the cache didn't either *)
-        let _, _, cache_ev, model_ev, _, _ = lru_run ops in
-        cache_ev = model_ev);
-    qtest "get-after-put coherence" (lru_ops_gen ~with_pins:true) (fun ops ->
-        let cache, model, _, _, _, gets_coherent = lru_run ops in
+    qtest "get-after-put coherence" lru_ops_gen (fun ops ->
+        let cache, model, _, gets_coherent, _ = lru_run ops in
         gets_coherent
-        && List.for_all (fun e -> Lru.peek cache e.mk = Some e.mv) model
+        && List.for_all (fun (k, v) -> Lru.peek cache k = Some v) model
         && Lru.length cache = List.length model);
-    qtest "eviction order matches recency under random ops"
-      (lru_ops_gen ~with_pins:false) (fun ops ->
-        let cache, model, cache_ev, model_ev, _, _ = lru_run ops in
-        cache_ev = model_ev
-        && Lru.keys cache = List.map (fun e -> e.mk) model);
+    qtest "eviction order matches recency under random ops" lru_ops_gen (fun ops ->
+        let _, _, _, _, order_agrees = lru_run ops in
+        order_agrees);
   ]
 
 let suites =

@@ -161,22 +161,6 @@ let test_database_load_corruption () =
   Sys.remove path;
   check Alcotest.bool "load survived corruption" true true
 
-let test_page_of_bytes_fuzz () =
-  let rng = Rng.make 9013 in
-  let module Page = Genalg_storage.Page in
-  for _ = 0 to 49 do
-    (* random page-sized buffers *)
-    let data =
-      Bytes.init Page.page_size (fun _ -> Char.chr (Rng.int rng 256))
-    in
-    match Page.of_bytes data with
-    | Ok page ->
-        (* iterating a garbage page must not crash either *)
-        (try Page.iter (fun _ _ -> ()) page with _ -> ())
-    | Error _ -> ()
-  done;
-  check Alcotest.bool "page decode survived" true true
-
 let test_monitor_on_corrupt_dump () =
   (* a source whose dump is corrupted between polls must not crash the
      monitor *)
@@ -214,7 +198,6 @@ let suites =
         tc "gene codec fuzz" `Quick test_codec_fuzz;
         tc "row decode fuzz" `Quick test_row_decode_fuzz;
         tc "database load corruption" `Quick test_database_load_corruption;
-        tc "page decode fuzz" `Quick test_page_of_bytes_fuzz;
       ] );
     ("robustness.etl", [ tc "monitor corrupt dump" `Quick test_monitor_on_corrupt_dump ]);
   ]

@@ -104,16 +104,6 @@ let test_page_update () =
   check (Alcotest.option Alcotest.string) "grown" (Some (String.make 100 'y'))
     (Option.map Bytes.to_string (Page.get p r))
 
-let test_page_serialization () =
-  let p = Page.create () in
-  ignore (Page.insert p (Bytes.of_string "alpha"));
-  ignore (Page.insert p (Bytes.of_string "beta"));
-  match Page.of_bytes (Page.to_bytes p) with
-  | Ok p2 ->
-      check (Alcotest.option Alcotest.string) "survives round trip" (Some "beta")
-        (Option.map Bytes.to_string (Page.get p2 1))
-  | Error msg -> Alcotest.fail msg
-
 (* ---- heap ----------------------------------------------------------------- *)
 
 let test_heap_many_records () =
@@ -138,18 +128,6 @@ let test_heap_delete_update () =
   let r2' = Heap.update h r2 (Bytes.of_string "TWO!") in
   check (Alcotest.option Alcotest.string) "updated" (Some "TWO!")
     (Option.map Bytes.to_string (Heap.get h r2'))
-
-let test_heap_serialization () =
-  let h = Heap.create () in
-  for i = 1 to 100 do
-    ignore (Heap.insert h (Bytes.of_string (string_of_int i)))
-  done;
-  match Heap.of_bytes (Heap.to_bytes h) with
-  | Ok h2 ->
-      check Alcotest.int "count preserved" 100 (Heap.record_count h2);
-      let total = Heap.fold (fun _ b acc -> acc + int_of_string (Bytes.to_string b)) h2 0 in
-      check Alcotest.int "contents preserved" 5050 total
-  | Error msg -> Alcotest.fail msg
 
 (* ---- btree ------------------------------------------------------------------ *)
 
@@ -427,13 +405,11 @@ let suites =
         tc "delete/compact" `Quick test_page_delete_compact;
         tc "full page" `Quick test_page_full;
         tc "update" `Quick test_page_update;
-        tc "serialization" `Quick test_page_serialization;
       ] );
     ( "storage.heap",
       [
         tc "many records" `Quick test_heap_many_records;
         tc "delete/update" `Quick test_heap_delete_update;
-        tc "serialization" `Quick test_heap_serialization;
       ] );
     ( "storage.btree",
       [
