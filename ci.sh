@@ -11,6 +11,27 @@ dune build
 echo "== tests =="
 dune runtest
 
+echo "== tests: every suite of test/main.exe standalone =="
+# No result may depend on test order: each suite runs in a process of its
+# own and must pass, with all of its tests run, without the suites that
+# precede it in the full run.
+MAIN=_build/default/test/main.exe
+LIST=$("$MAIN" list --color=never | awk -F '  +' 'NF >= 3 && $2 ~ /^ *[0-9]+$/ {print $1}')
+SUITES=$(echo "$LIST" | sort -u)
+while IFS= read -r suite; do
+  re=$(printf '%s' "$suite" | sed 's/[][\\.^$*+?(){}|]/\\&/g')
+  want=$(echo "$LIST" | grep -cxF "$suite")
+  out=$("$MAIN" test "^$re\$" --color=never 2>&1) \
+    && echo "$out" | grep -qE "Test Successful in .* $want tests? run" || {
+    echo "$out" >&2
+    echo "standalone suite FAILED: $suite" >&2
+    exit 1
+  }
+done <<SUITES_END
+$SUITES
+SUITES_END
+echo "$(echo "$SUITES" | wc -l) suites pass standalone"
+
 echo "== smoke: demo warehouse + stats + EXPLAIN ANALYZE =="
 DB=$(mktemp -d)/smoke.db
 dune exec bin/genalg.exe -- demo --output "$DB" >/dev/null

@@ -259,11 +259,5 @@ let keys t =
   iter (fun k _ -> acc := k :: !acc) t;
   List.rev !acc
 
-let clear t =
-  Hashtbl.reset t.tbl;
-  t.mru <- None;
-  t.lru <- None;
-  t.bytes <- 0
-
 let stats t = stats_of_tally t.local
 let name t = t.name

@@ -1,5 +1,5 @@
 (** A generic bounded LRU cache, the shared core behind the sqlx
-    plan/result caches and the mediator response cache.
+    result cache and the mediator response cache.
 
     Bounds: [max_entries] caps the entry count and [max_bytes] caps the sum
     of entry weights (as computed by [weight]). When either bound is
@@ -85,9 +85,6 @@ val iter : ('k -> 'v -> unit) -> ('k, 'v) t -> unit
 
 val keys : ('k, 'v) t -> 'k list
 (** Most-recently-used first. *)
-
-val clear : ('k, 'v) t -> unit
-(** Drop everything without counting evictions. *)
 
 val stats : ('k, 'v) t -> stats
 (** This instance's tallies (always on, independent of [Obs]). *)

@@ -383,27 +383,16 @@ let exec_join_step db (step : Plan.join_step) ~right_rows acc_rows =
   expand_ordered ~expand (Array.of_list acc_rows)
 
 (* ------------------------------------------------------------------ *)
-(* Statement caches (docs/CACHING.md): a plan cache and a read-only
-   result cache keyed on (database id, actor, optimize flag, SELECT ast).
-   Plan and result entries carry the version counters of every table they
-   touched and are validated on lookup, so invalidation is correct no
-   matter which path wrote (sqlx, the ETL loader, or direct Table calls);
-   SQL writes additionally sweep eagerly via [invalidate_table]. *)
+(* Result cache (docs/CACHING.md): read-only SELECT results, one LRU per
+   database, keyed on (actor, optimize flag, SELECT ast). Entries carry
+   the version counters of every table they touched and are validated on
+   lookup and swept on every miss, so invalidation is correct no matter
+   which path wrote (sqlx, the ETL loader, or direct Table calls). *)
 
 type query_key = {
-  qk_db : int;
   qk_actor : string; (* lowercased; resolution is case-insensitive *)
   qk_optimize : bool;
   qk_select : Ast.select;
-}
-
-type plan_entry = {
-  pe_plan : Plan.t;
-  pe_catalog : int;
-  pe_deps : (string * (int * int) option) list;
-      (* FROM table -> (schema_version, stats_version) at build; None =
-         unresolvable. The stats version makes re-ANALYZE drop the plan
-         even if schema versioning ever stops covering it. *)
 }
 
 type result_entry = {
@@ -412,8 +401,7 @@ type result_entry = {
   re_deps : (string * int * int) list; (* table, data_version, schema_version *)
 }
 
-let plan_cache : (query_key, plan_entry) Lru.t =
-  Lru.create ~name:"plan" ~max_entries:256 ()
+type Db.cache += Results of (query_key, result_entry) Lru.t
 
 let value_weight = function
   | D.Null | D.Bool _ | D.Int _ | D.Float _ -> 16
@@ -426,39 +414,20 @@ let result_weight _ e =
     (List.fold_left (fun acc c -> acc + 24 + String.length c) 0 e.re_rs.columns)
     e.re_rs.rows
 
-let result_cache : (query_key, result_entry) Lru.t =
-  Lru.create ~name:"result" ~max_entries:128 ~max_bytes:(4 * 1024 * 1024)
-    ~weight:result_weight ()
-
-let clear_statement_caches () =
-  Lru.clear plan_cache;
-  Lru.clear result_cache
-
-let query_key db ~actor ~optimize select =
-  { qk_db = Db.id db; qk_actor = String.lowercase_ascii actor; qk_optimize = optimize;
-    qk_select = select }
+(* created on first use, so snapshot clones that never SELECT pay nothing *)
+let result_cache db =
+  match Db.cache db with
+  | Some (Results c) -> c
+  | _ ->
+      let c =
+        Lru.create ~name:"result" ~max_entries:128 ~max_bytes:(4 * 1024 * 1024)
+          ~weight:result_weight ()
+      in
+      Db.set_cache db (Results c);
+      c
 
 let dep_table db ~actor name =
   Option.map snd (Db.resolve db ~actor name)
-
-let plan_deps db ~actor (select : Ast.select) =
-  List.map
-    (fun (table, _alias) ->
-      ( table,
-        Option.map
-          (fun t -> (Table.schema_version t, Table.stats_version t))
-          (dep_table db ~actor table) ))
-    select.Ast.from
-
-let plan_fresh db ~actor e =
-  e.pe_catalog = Db.catalog_version db
-  && List.for_all
-       (fun (table, v) ->
-         Option.map
-           (fun t -> (Table.schema_version t, Table.stats_version t))
-           (dep_table db ~actor table)
-         = v)
-       e.pe_deps
 
 let result_deps db ~actor (select : Ast.select) =
   (* only called after a successful execution, so every table resolves *)
@@ -478,97 +447,39 @@ let result_fresh db ~actor e =
          | None -> false)
        e.re_deps
 
-let invalidate_table db ~table =
-  let id = Db.id db in
-  let lname = String.lowercase_ascii table in
-  let touches deps name_of k =
-    k.qk_db = id
-    && List.exists (fun d -> String.lowercase_ascii (name_of d) = lname) deps
-  in
-  Lru.invalidate_where result_cache (fun k e ->
-      touches e.re_deps (fun (n, _, _) -> n) k)
-  + Lru.invalidate_where plan_cache (fun k e ->
-        touches e.pe_deps fst k)
-
-(* catalog view for the planner *)
+(* what the planner knows about the actor's tables, read live *)
 let catalog_of db ~actor =
-  {
-    Plan.has_index =
-        (fun ~table ~column ->
-          match Db.resolve db ~actor table with
-          | Some (_, t) -> Table.has_index t ~column
-          | None -> false);
-      has_genomic_index =
-        (fun ~table ~column ->
-          match Db.resolve db ~actor table with
-          | Some (_, t) -> Table.has_genomic_index t ~column
-          | None -> false);
-      column_exists =
-        (fun ~table ~column ->
-          match Db.resolve db ~actor table with
-          | Some (_, t) -> Schema.column_index (Table.schema t) column <> None
-          | None -> false);
-      equality_selectivity =
-        (fun ~table ~column ->
-          match Db.resolve db ~actor table with
-          | Some (_, t) -> (
-              match Table.column_stats t ~column with
-              | Some { Table.distinct; _ } when distinct > 0 ->
-                  Some (1. /. float_of_int distinct)
-              | Some _ | None -> None)
-          | None -> None);
-      column_dtype =
-        (fun ~table ~column ->
-          match Db.resolve db ~actor table with
-          | Some (_, t) ->
-              let schema = Table.schema t in
-              Option.map
-                (fun i -> (Schema.column schema i).Schema.dtype)
-                (Schema.column_index schema column)
-          | None -> None);
-  }
-
-(* live ANALYZE statistics for the cost-based planner *)
-let stats_provider_of db ~actor =
   let resolve table f d =
     match Db.resolve db ~actor table with Some (_, t) -> f t | None -> d
   in
   {
-    Plan.analyzed = (fun ~table -> resolve table Table.has_stats false);
-    row_count = (fun ~table -> resolve table Table.row_count 0);
-    stats_of =
+    Plan.has_index = (fun ~table ~column -> resolve table (Table.has_index ~column) false);
+    has_genomic_index =
+      (fun ~table ~column -> resolve table (Table.has_genomic_index ~column) false);
+    column_exists =
       (fun ~table ~column ->
-        resolve table (fun t -> Table.column_stats t ~column) None);
-    genomic_k_of =
-      (fun ~table ~column ->
-        resolve table (fun t -> Table.genomic_k t ~column) None);
-    genomic_mean_len_of =
-      (fun ~table ~column ->
-        resolve table (fun t -> Table.genomic_mean_len t ~column) None);
-    is_dna =
+        resolve table
+          (fun t -> Schema.column_index (Table.schema t) column <> None)
+          false);
+    column_dtype =
       (fun ~table ~column ->
         resolve table
           (fun t ->
             let schema = Table.schema t in
-            match Schema.column_index schema column with
-            | Some i -> (Schema.column schema i).Schema.dtype = D.TOpaque "dna"
-            | None -> false)
-          false);
+            Option.map
+              (fun i -> (Schema.column schema i).Schema.dtype)
+              (Schema.column_index schema column))
+          None);
+    analyzed = (fun ~table -> resolve table Table.has_stats false);
+    row_count = (fun ~table -> resolve table Table.row_count 0);
+    stats_of = (fun ~table ~column -> resolve table (Table.column_stats ~column) None);
+    genomic_k_of = (fun ~table ~column -> resolve table (Table.genomic_k ~column) None);
+    genomic_mean_len_of =
+      (fun ~table ~column -> resolve table (Table.genomic_mean_len ~column) None);
   }
 
-let cached_plan db ~actor ~optimize select =
-  let key = query_key db ~actor ~optimize select in
-  match Lru.find_validated plan_cache key ~validate:(plan_fresh db ~actor) with
-  | Some e -> e.pe_plan
-  | None ->
-      let plan =
-        Plan.make ~optimize ~stats:(stats_provider_of db ~actor)
-          (catalog_of db ~actor) select
-      in
-      Lru.put plan_cache key
-        { pe_plan = plan; pe_catalog = Db.catalog_version db;
-          pe_deps = plan_deps db ~actor select };
-      plan
+let plan_of db ~actor ~optimize select =
+  Plan.make ~optimize (catalog_of db ~actor) select
 
 (* per-operator execution profile; [elapsed_s] is inclusive of children *)
 type op_profile = {
@@ -616,7 +527,7 @@ let assemble_profile ~(select : Ast.select) ~join_prof ~group_prof ~t_query0
 let run_select_profiled ?(optimize = true) db ~actor (select : Ast.select) =
   Obs.add c_queries 1;
   Obs.with_span "sqlx.select" @@ fun () ->
-  let plan = cached_plan db ~actor ~optimize select in
+  let plan = plan_of db ~actor ~optimize select in
   let t_query0 = Obs.now_s () in
   let scan_profs = ref [] in
   let timed_scan (tp : Plan.table_plan) =
@@ -1057,7 +968,7 @@ let explain ?optimize db ~actor ~analyze select =
          rows = List.map (fun l -> [| D.Str l |]) (render_profile prof) }
   else
     let optimize = Option.value optimize ~default:true in
-    let plan = cached_plan db ~actor ~optimize select in
+    let plan = plan_of db ~actor ~optimize select in
     Ok { columns = [ "QUERY PLAN" ];
          rows =
            List.map
@@ -1077,18 +988,24 @@ let run ?optimize db ~actor stmt =
   | Ast.Select s -> (
       (* read-only: served from the result cache when every dependency's
          version counters still match (see docs/CACHING.md) *)
-      let opt = Option.value optimize ~default:true in
-      let key = query_key db ~actor ~optimize:opt s in
-      match
-        Lru.find_validated result_cache key ~validate:(result_fresh db ~actor)
-      with
+      let key =
+        { qk_actor = String.lowercase_ascii actor;
+          qk_optimize = Option.value optimize ~default:true; qk_select = s }
+      in
+      let cache = result_cache db in
+      match Lru.find_validated cache key ~validate:(result_fresh db ~actor) with
       | Some e ->
           Obs.add c_queries 1;
           Obs.add c_rows_out (List.length e.re_rs.rows);
           Ok (Rows e.re_rs)
       | None ->
           let* rs = run_select ?optimize db ~actor s in
-          Lru.put result_cache key
+          (* drop the entries writes have made stale, or they would sit
+             until eviction and fill the bounds with dead results *)
+          ignore
+            (Lru.invalidate_where cache (fun k e ->
+                 not (result_fresh db ~actor:k.qk_actor e)));
+          Lru.put cache key
             { re_rs = rs; re_catalog = Db.catalog_version db;
               re_deps = result_deps db ~actor s };
           Ok (Rows rs))
@@ -1110,21 +1027,18 @@ let run ?optimize db ~actor stmt =
       let* _ = Db.create_table db ~actor ~space:(target_space ~actor) ~name:table schema in
       Ok Executed
   | Ast.Create_index { table; column } -> (
-      ignore (invalidate_table db ~table);
       match Db.resolve db ~actor table with
       | None -> Error (Printf.sprintf "unknown table %s" table)
       | Some (_, t) ->
           let* () = Table.create_index t ~column in
           Ok Executed)
   | Ast.Create_genomic_index { table; column } -> (
-      ignore (invalidate_table db ~table);
       match Db.resolve db ~actor table with
       | None -> Error (Printf.sprintf "unknown table %s" table)
       | Some (_, t) ->
           let* () = Table.create_genomic_index t ~column ~registry:(Db.udts db) in
           Ok Executed)
   | Ast.Insert { table; columns; rows } -> (
-      ignore (invalidate_table db ~table);
       let space = target_space ~actor in
       match Db.find_table db ~space table with
       | None -> Error (Printf.sprintf "no table %s in your writable space" table)
@@ -1172,19 +1086,16 @@ let run ?optimize db ~actor stmt =
           in
           insert_rows 0 rows)
   | Ast.Analyze table -> (
-      ignore (invalidate_table db ~table);
       match Db.resolve db ~actor table with
       | None -> Error (Printf.sprintf "unknown table %s" table)
       | Some (_, t) ->
           Table.analyze t;
           Ok Executed)
   | Ast.Drop_table table ->
-      ignore (invalidate_table db ~table);
       let space = target_space ~actor in
       let* () = Db.drop_table db ~actor ~space ~name:table in
       Ok Executed
   | Ast.Delete { table; where } -> (
-      ignore (invalidate_table db ~table);
       let space = target_space ~actor in
       match Db.find_table db ~space table with
       | None -> Error (Printf.sprintf "no table %s in your writable space" table)

@@ -29,8 +29,8 @@ type op_profile = {
   op : string;            (** operator label, e.g. ["Scan genes via full scan"] *)
   actual_rows : int;      (** rows the operator produced *)
   est_rows : int option;
-      (** the cost-based planner's cardinality estimate for this
-          operator; [None] for unanalyzed tables, [optimize:false]
+      (** the planner's cardinality estimate for this operator, on
+          measured or default statistics; [None] for [optimize:false]
           plans and shaping operators *)
   elapsed_s : float;      (** wall-clock seconds, inclusive of children *)
   children : op_profile list;
@@ -77,29 +77,21 @@ val query :
   (outcome, string) result
 (** Parse then {!run}. *)
 
-(** {1 Statement caches}
+(** {1 Result cache}
 
-    Two process-wide LRUs with fixed bounds back {!run} (full story in
-    [docs/CACHING.md]):
+    {!run} and {!query} serve read-only SELECTs from a bounded LRU
+    ([cache.result], 128 entries, 4 MiB) that each database owns: it
+    starts empty in every {!Genalg_storage.Database.create}, [clone] and
+    [load], and goes away with its database. The key is (actor,
+    optimize, SELECT ast). Entries are validated on lookup against the
+    catalog version and the data/schema versions of every touched table,
+    so a stale result is never served, whatever path wrote; a miss also
+    drops every stale entry before storing its result. Full story in
+    [docs/CACHING.md].
 
-    - [cache.plan] — (database id, actor, optimize, SELECT ast) -> plan,
-      validated against table schema versions and the catalog version;
-    - [cache.result] — same key -> result set for read-only SELECTs
-      executed via {!run}/{!query}, validated against table data/schema
-      versions, eagerly swept by SQL writes and DDL.
-
-    Validation makes staleness impossible regardless of the write path:
-    a hit is only served while every touched table's version counters
-    match those recorded at execution. A cached result set is shared —
+    {!run_select}, {!run_select_profiled} and {!explain} never touch the
+    cache: they always plan and execute. A cached result set is shared —
     treat returned rows as read-only (the engine never mutates them). *)
-
-val invalidate_table : Genalg_storage.Database.t -> table:string -> int
-(** Eagerly drop every cached plan/result depending on [table] in this
-    database; returns how many entries were dropped (all counted under
-    [cache.{plan,result}.invalidations]). *)
-
-val clear_statement_caches : unit -> unit
-(** Empty both caches (statistics are kept). For tests/benches. *)
 
 val render : Genalg_storage.Database.t -> result_set -> string
 (** ASCII table with UDT-aware value display. *)

@@ -57,24 +57,20 @@ type t = {
   output_order : string list;
 }
 
-(* Statistics the cost-based planner pulls per table; supplied by the
-   executor from live [Table.t] handles so plans see current stats.
-   Tables without ANALYZE statistics keep the static constants below. *)
-type stats_provider = {
+(* What the planner knows about the tables; supplied by the executor
+   from live [Table.t] handles so plans see current indexes and stats.
+   Columns without ANALYZE statistics use the static selectivities
+   below. *)
+type catalog = {
+  has_index : table:string -> column:string -> bool;
+  has_genomic_index : table:string -> column:string -> bool;
+  column_exists : table:string -> column:string -> bool;
+  column_dtype : table:string -> column:string -> D.t option;
   analyzed : table:string -> bool;
   row_count : table:string -> int;
   stats_of : table:string -> column:string -> T.column_stats option;
   genomic_k_of : table:string -> column:string -> int option;
   genomic_mean_len_of : table:string -> column:string -> float option;
-  is_dna : table:string -> column:string -> bool;
-}
-
-type catalog = {
-  has_index : table:string -> column:string -> bool;
-  has_genomic_index : table:string -> column:string -> bool;
-  column_exists : table:string -> column:string -> bool;
-  equality_selectivity : table:string -> column:string -> float option;
-  column_dtype : table:string -> column:string -> D.t option;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -164,29 +160,6 @@ let rank e =
   let s = predicate_selectivity e in
   predicate_cost e /. Float.max 1e-6 (1. -. s)
 
-(* Selectivity refined by ANALYZE statistics for equality predicates on
-   this table's columns. *)
-let selectivity_with catalog ~table ~alias expr =
-  let col_of = function
-    | Ast.Col (Some q, c) when String.lowercase_ascii q = String.lowercase_ascii alias
-      -> Some c
-    | Ast.Col (None, c) -> Some c
-    | _ -> None
-  in
-  match expr with
-  | Ast.Binop (Ast.Eq, lhs, Ast.Lit _) | Ast.Binop (Ast.Eq, Ast.Lit _, lhs) -> (
-      match col_of lhs with
-      | Some c -> (
-          match catalog.equality_selectivity ~table ~column:c with
-          | Some s -> clamp 1e-6 1. s
-          | None -> predicate_selectivity expr)
-      | None -> predicate_selectivity expr)
-  | _ -> predicate_selectivity expr
-
-let rank_with catalog ~table ~alias e =
-  let s = selectivity_with catalog ~table ~alias e in
-  predicate_cost e /. Float.max 1e-6 (1. -. s)
-
 (* ------------------------------------------------------------------ *)
 (* Planning                                                            *)
 
@@ -205,14 +178,16 @@ let aliases_of catalog from expr =
   in
   List.sort_uniq String.compare (List.concat_map resolve cols)
 
+(* The column a conjunct operand names on [alias], if any. *)
+let col_of_expr ~alias = function
+  | Ast.Col (Some q, c) when String.lowercase_ascii q = String.lowercase_ascii alias
+    -> Some c
+  | Ast.Col (None, c) -> Some c
+  | _ -> None
+
 (* Try to turn a conjunct into an index access for [alias]/[table]. *)
 let index_access catalog ~table ~alias expr =
-  let col_of = function
-    | Ast.Col (Some q, c) when String.lowercase_ascii q = String.lowercase_ascii alias
-      -> Some c
-    | Ast.Col (None, c) -> Some c
-    | _ -> None
-  in
+  let col_of = col_of_expr ~alias in
   let indexed c = catalog.has_index ~table ~column:c in
   match expr with
   | Ast.Binop (Ast.Eq, lhs, Ast.Lit v) -> (
@@ -250,44 +225,32 @@ let index_access catalog ~table ~alias expr =
    becomes an access path; the executor re-applies the predicate when it
    must fall back to scanning *)
 let genomic_access catalog ~table ~alias expr =
-  let col_of = function
-    | Ast.Col (Some q, c) when String.lowercase_ascii q = String.lowercase_ascii alias
-      -> Some c
-    | Ast.Col (None, c) -> Some c
-    | _ -> None
-  in
   match expr with
   | Ast.Fn (name, [ col_e; Ast.Lit (D.Str pattern) ])
     when String.lowercase_ascii name = "contains" -> (
-      match col_of col_e with
+      match col_of_expr ~alias col_e with
       | Some c when catalog.has_genomic_index ~table ~column:c ->
           Some (Genomic_contains { column = c; pattern })
       | _ -> None)
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* Cost-based access selection (tentpole of the optimizer work): for an
-   ANALYZEd table, every candidate access path — full scan, each usable
-   B-tree conjunct, the k-mer contains path, the resembles seed path —
-   is costed with the [Cost] model over [Stats] selectivities and the
-   cheapest wins. Unanalyzed tables keep the heuristic rules above, so
-   plans only change where measured statistics exist.                  *)
+(* Cost-based access selection: for every table, each candidate access
+   path — full scan, each usable B-tree conjunct, the k-mer contains
+   path, the resembles seed path — is costed with the [Cost] model and
+   the cheapest wins. Selectivities come from ANALYZE statistics where
+   they exist and from the static model above where they do not.      *)
 
 let pure_acgt s =
   s <> ""
   && String.for_all (function 'A' | 'C' | 'G' | 'T' -> true | _ -> false) s
 
-let col_of_expr ~alias = function
-  | Ast.Col (Some q, c) when String.lowercase_ascii q = String.lowercase_ascii alias
-    -> Some c
-  | Ast.Col (None, c) -> Some c
-  | _ -> None
-
 (* Selectivity of a single-table conjunct refined by the ANALYZE
    catalog: equality and comparison predicates against literals use the
-   measured NDV / histogram; everything else keeps the static model. *)
-let rec stat_selectivity stats ~table ~alias expr =
-  let column c = stats.stats_of ~table ~column:c in
+   measured NDV / histogram; everything else, and every column without
+   statistics, keeps the static model. *)
+let rec stat_selectivity catalog ~table ~alias expr =
+  let column c = catalog.stats_of ~table ~column:c in
   let via_stats col_e f =
     match Option.bind (col_of_expr ~alias col_e) column with
     | Some cs -> ( match f cs with Some s -> Some s | None -> None)
@@ -315,20 +278,20 @@ let rec stat_selectivity stats ~table ~alias expr =
         cmp (flip (tag op)) col_e v
     | Ast.Binop (Ast.And, a, b) ->
         Some
-          (stat_selectivity stats ~table ~alias a
-          *. stat_selectivity stats ~table ~alias b)
+          (stat_selectivity catalog ~table ~alias a
+          *. stat_selectivity catalog ~table ~alias b)
     | Ast.Binop (Ast.Or, a, b) ->
-        let sa = stat_selectivity stats ~table ~alias a in
-        let sb = stat_selectivity stats ~table ~alias b in
+        let sa = stat_selectivity catalog ~table ~alias a in
+        let sb = stat_selectivity catalog ~table ~alias b in
         Some (clamp 0. 1. (sa +. sb -. (sa *. sb)))
     | Ast.Not e ->
-        Some (clamp 0.001 1. (1. -. stat_selectivity stats ~table ~alias e))
+        Some (clamp 0.001 1. (1. -. stat_selectivity catalog ~table ~alias e))
     | _ -> None
   in
   match r with Some s -> clamp 1e-6 1. s | None -> fallback ()
 
-let rank_stats stats ~table ~alias e =
-  let s = stat_selectivity stats ~table ~alias e in
+let rank_stats catalog ~table ~alias e =
+  let s = stat_selectivity catalog ~table ~alias e in
   predicate_cost e /. Float.max 1e-6 (1. -. s)
 
 (* Recognize [resembles(col, dna('P')) >= t] (and mirrored/strict forms)
@@ -336,7 +299,7 @@ let rank_stats stats ~table ~alias e =
    pattern at least the safe minimum length for (k, t). The conjunct is
    NOT consumed — the real predicate still filters the candidates, so
    the path is an optimization, never a semantics change. *)
-let seed_of stats ~table ~alias expr =
+let seed_of catalog ~table ~alias expr =
   let pattern_of = function
     | Ast.Lit (D.Str p) -> Some p
     | Ast.Fn (name, [ Ast.Lit (D.Str p) ])
@@ -370,9 +333,11 @@ let seed_of stats ~table ~alias expr =
       | Some (column, pattern) -> (
           let pattern = String.uppercase_ascii pattern in
           if not (pure_acgt pattern) then None
-          else if not (stats.is_dna ~table ~column) then None
+          (* the seed bound is only valid for Scoring.dna_default *)
+          else if catalog.column_dtype ~table ~column <> Some (D.TOpaque "dna")
+          then None
           else
-            match stats.genomic_k_of ~table ~column with
+            match catalog.genomic_k_of ~table ~column with
             | None -> None
             | Some k -> (
                 match Cost.resembles_min_len ~k ~threshold with
@@ -382,18 +347,18 @@ let seed_of stats ~table ~alias expr =
       | None -> None)
   | _ -> None
 
-(* Choose the cheapest access path for one ANALYZEd table. Returns the
-   access, its residual filters in evaluation order, and the estimate. *)
-let plan_table_cost_based stats catalog ~table ~alias mine =
+(* Choose the cheapest access path for one table, with its residual
+   filters in evaluation order and its row estimate. *)
+let plan_table_cost_based catalog ~table ~alias mine =
   Obs.add c_cost_based 1;
-  let rows = float_of_int (max 0 (stats.row_count ~table)) in
-  let sel e = stat_selectivity stats ~table ~alias e in
+  let rows = float_of_int (max 0 (catalog.row_count ~table)) in
+  let sel e = stat_selectivity catalog ~table ~alias e in
   let order fs =
     List.stable_sort
       (fun a b ->
         Float.compare
-          (rank_stats stats ~table ~alias a)
-          (rank_stats stats ~table ~alias b))
+          (rank_stats catalog ~table ~alias a)
+          (rank_stats catalog ~table ~alias b))
       fs
   in
   (* per-conjunct evaluation cost: filters the vectorized scan serves
@@ -421,8 +386,8 @@ let plan_table_cost_based stats catalog ~table ~alias mine =
         match genomic_access catalog ~table ~alias c with
         | Some (Genomic_contains { column; pattern } as a) -> (
             match
-              ( stats.genomic_k_of ~table ~column,
-                stats.genomic_mean_len_of ~table ~column )
+              ( catalog.genomic_k_of ~table ~column,
+                catalog.genomic_mean_len_of ~table ~column )
             with
             | Some k, Some mean_len ->
                 let fs = order (without c) in
@@ -434,9 +399,9 @@ let plan_table_cost_based stats catalog ~table ~alias mine =
                       ~verify_cost:(fn_cost "contains") ~filters:(chain fs) )
             | _ -> None)
         | Some _ | None -> (
-            match seed_of stats ~table ~alias c with
+            match seed_of catalog ~table ~alias c with
             | Some (column, pattern, min_len, threshold, k) -> (
-                match stats.genomic_mean_len_of ~table ~column with
+                match catalog.genomic_mean_len_of ~table ~column with
                 | Some mean_len ->
                     (* seed path keeps every conjunct, including the
                        resembles predicate itself *)
@@ -585,9 +550,10 @@ let make_steps ~hash_join catalog (from : (string * string) list) classified
       in
       (steps, tail)
 
-(* Join-graph edges for reordering: column-equality conjuncts linking
-   exactly two aliases, selectivity 1/max(NDV) from the stats catalog. *)
-let join_edges stats catalog from classified =
+(* Join-graph edges for reordering and join estimates: column-equality
+   conjuncts linking exactly two aliases, selectivity 1/max(NDV) from
+   the stats catalog, 0.1 without statistics. *)
+let join_edges catalog from classified =
   let table_of alias =
     List.find_map
       (fun (table, a) ->
@@ -597,7 +563,7 @@ let join_edges stats catalog from classified =
   let ndv alias col =
     match table_of alias with
     | Some table -> (
-        match stats.stats_of ~table ~column:col with
+        match catalog.stats_of ~table ~column:col with
         | Some cs when cs.T.distinct > 0 -> Some (float_of_int cs.T.distinct)
         | _ -> None)
     | None -> None
@@ -639,7 +605,7 @@ let annotate_vec catalog t =
         t.tables;
   }
 
-let make ?(optimize = true) ?stats catalog (select : Ast.select) =
+let make ?(optimize = true) catalog (select : Ast.select) =
   let conjuncts =
     match select.Ast.where with None -> [] | Some w -> Ast.conjuncts w
   in
@@ -680,42 +646,17 @@ let make ?(optimize = true) ?stats catalog (select : Ast.select) =
           (fun (c, al) -> if al = [ alias ] then Some c else None)
           classified
       in
-      match stats with
-      | Some s when s.analyzed ~table ->
-          plan_table_cost_based s catalog ~table ~alias mine
-      | _ ->
-          (* heuristic: first usable index conjunct becomes the access *)
-          let access, residual =
-            let rec pick probe seen = function
-              | [] -> (Full_scan, List.rev seen)
-              | c :: rest -> (
-                  match probe c with
-                  | Some a -> (a, List.rev_append seen rest)
-                  | None -> pick probe (c :: seen) rest)
-            in
-            (* prefer a B-tree equality/range path; otherwise try the
-               genomic substring index *)
-            match pick (index_access catalog ~table ~alias) [] mine with
-            | (Full_scan, _) -> pick (genomic_access catalog ~table ~alias) [] mine
-            | found -> found
-          in
-          let filters =
-            List.stable_sort
-              (fun a b ->
-                Float.compare (rank_with catalog ~table ~alias a)
-                  (rank_with catalog ~table ~alias b))
-              residual
-          in
-          { table; alias; access; filters; est_rows = None; vec_kernels = [] }
+      plan_table_cost_based catalog ~table ~alias mine
     in
     let tables = List.map plan_table from in
-    (* Join reordering: only when statistics cover every FROM table, so
-       plans without ANALYZE are byte-identical to the heuristic ones. *)
-    let from, tables, edges =
-      match (stats, from) with
-      | Some s, _ :: _ :: _ when List.for_all (fun (t, _) -> s.analyzed ~table:t) from
+    let edges = join_edges catalog from classified in
+    (* Join reordering: only when statistics cover every FROM table.
+       Default statistics would reorder too, and that changes the row
+       order of unordered joins over unanalyzed tables. *)
+    let from, tables =
+      match from with
+      | _ :: _ :: _ when List.for_all (fun (t, _) -> catalog.analyzed ~table:t) from
         ->
-          let edges = join_edges s catalog from classified in
           let rels =
             List.map
               (fun tp ->
@@ -742,8 +683,8 @@ let make ?(optimize = true) ?stats catalog (select : Ast.select) =
               tables'
           in
           if List.map snd from' <> List.map snd from then Obs.add c_reordered 1;
-          (from', tables', edges)
-      | _ -> (from, tables, [])
+          (from', tables')
+      | _ -> (from, tables)
     in
     let join_filters =
       List.filter_map

@@ -6,9 +6,11 @@
     cost estimation of access plans containing genomic operators". The
     model here: every WHERE conjunct gets a per-row evaluation cost and a
     selectivity estimate; single-table conjuncts are pushed to their
-    table, equality/range conjuncts over indexed columns become index
-    accesses, and residual conjuncts run cheapest-and-most-selective
-    first (ascending [cost / (1 - selectivity)]). *)
+    table, every candidate access path is costed with {!Cost} and the
+    cheapest wins, and residual conjuncts run cheapest-and-most-selective
+    first (ascending [cost / (1 - selectivity)]). One planner serves
+    every table: selectivities come from ANALYZE statistics where they
+    exist and from {!predicate_selectivity} where they do not. *)
 
 module D := Genalg_storage.Dtype
 
@@ -45,8 +47,9 @@ type table_plan = {
   access : access;
   filters : Ast.expr list;  (** residual predicates, in evaluation order *)
   est_rows : float option;
-      (** cost-based estimate of rows this scan emits after filters;
-          [None] for unanalyzed tables and [optimize:false] plans *)
+      (** cost-based estimate of rows this scan emits after filters, on
+          measured or default statistics; [None] for [optimize:false]
+          plans *)
   vec_kernels : string list;
       (** labels of the packed kernels the vectorized scan expects to
           serve [filters] with (e.g. ["packed-gc(seq)"]); display-only
@@ -92,35 +95,31 @@ type t = {
           this order before projection so [SELECT *] output is stable *)
 }
 
-type stats_provider = {
-  analyzed : table:string -> bool;
-      (** the table has ANALYZE statistics; without them the planner
-          keeps the heuristic rules, so plans only change where measured
-          statistics exist *)
-  row_count : table:string -> int;
-  stats_of : table:string -> column:string -> Genalg_storage.Table.column_stats option;
-  genomic_k_of : table:string -> column:string -> int option;
-  genomic_mean_len_of : table:string -> column:string -> float option;
-  is_dna : table:string -> column:string -> bool;
-      (** the column's declared type is the DNA UDT — the resembles
-          seed bound is only valid for [Scoring.dna_default] *)
-}
-(** Live statistics the cost-based planner consults; supplied by the
-    executor from the storage layer. *)
-
 type catalog = {
   has_index : table:string -> column:string -> bool;
   has_genomic_index : table:string -> column:string -> bool;
   column_exists : table:string -> column:string -> bool;
-  equality_selectivity : table:string -> column:string -> float option;
-      (** [1 / distinct] from ANALYZE statistics; [None] when the table
-          has not been analyzed *)
   column_dtype : table:string -> column:string -> D.t option;
       (** declared dtype of a column, used to classify pushed-down
           filters against the packed scan kernels ({!Vec}) both for
           kernel-aware chain costing and the EXPLAIN [vec [...]]
-          annotation *)
+          annotation, and to admit the resembles seed path only on DNA
+          columns (its bound holds for [Scoring.dna_default] alone) *)
+  analyzed : table:string -> bool;
+      (** the table has ANALYZE statistics. Access paths do not depend
+          on it; join reordering does: joins are reordered only when
+          every FROM table is analyzed, because reordering on default
+          statistics would change the row order of unordered joins over
+          unanalyzed tables *)
+  row_count : table:string -> int;  (** live cardinality *)
+  stats_of : table:string -> column:string -> Genalg_storage.Table.column_stats option;
+      (** ANALYZE statistics; [None] falls back to
+          {!predicate_selectivity} *)
+  genomic_k_of : table:string -> column:string -> int option;
+  genomic_mean_len_of : table:string -> column:string -> float option;
 }
+(** What the planner knows about the tables; supplied by the executor
+    from the storage layer. *)
 
 val predicate_cost : Ast.expr -> float
 (** Estimated per-row evaluation cost (abstract units). Genomic UDF calls
@@ -137,25 +136,19 @@ val rank : Ast.expr -> float
 (** [cost / (1 - selectivity)] — ascending rank gives the classic optimal
     ordering of independent predicates. *)
 
-val rank_with : catalog -> table:string -> alias:string -> Ast.expr -> float
-(** Like {!rank} but equality predicates over analyzed columns use the
-    measured [1 / distinct] selectivity instead of the static default
-    (section 6.5: selectivity information for access-plan costing). *)
-
-val make : ?optimize:bool -> ?stats:stats_provider -> catalog -> Ast.select -> t
+val make : ?optimize:bool -> catalog -> Ast.select -> t
 (** Build a plan. With [optimize:false] (default true), no pushdown
     reordering or index selection happens beyond assigning conjuncts to
     the last table that makes them evaluable, and every join step is a
     nested loop — the naive baseline for the optimizer experiment.
 
-    With [?stats], ANALYZEd tables get cost-based access selection:
-    every candidate path (full scan, each usable B-tree conjunct, the
-    k-mer contains path, the resembles seed path) is costed with {!Cost}
-    over {!Stats} selectivities and the cheapest wins; when every FROM
-    table is analyzed, joins are greedily reordered by estimated
-    cardinality and the plan carries row estimates. Without [?stats]
-    (or for unanalyzed tables) the static rules choose: the first
-    usable index conjunct, residual filters by ascending {!rank_with}. *)
+    Otherwise every table gets cost-based access selection: each
+    candidate path (full scan, each usable B-tree conjunct, the k-mer
+    contains path, the resembles seed path) is costed with {!Cost} over
+    {!Stats} selectivities, or the static ones for columns without
+    statistics, and the cheapest wins; every scan carries a row
+    estimate. When every FROM table is analyzed, joins are greedily
+    reordered by estimated cardinality (see [catalog.analyzed]). *)
 
 val to_string : ?jobs:int -> t -> string
 (** Human-readable plan: one line per table scan (full scans carry the

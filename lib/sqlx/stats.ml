@@ -3,7 +3,7 @@
    min/max, equi-depth histograms) collected by
    [Genalg_storage.Table.analyze]. Every function degrades to [None]
    when the statistics cannot answer, so callers fall back to the
-   heuristic constants in [Plan]. *)
+   static selectivities in [Plan]. *)
 
 module D = Genalg_storage.Dtype
 module T = Genalg_storage.Table

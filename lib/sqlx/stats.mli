@@ -4,7 +4,7 @@
     {!Genalg_storage.Table.column_stats}: every estimator returns
     [None] when the statistics cannot answer (no stats, non-numeric
     values without a histogram, zero rows), so the planner can fall
-    back to its static heuristic constants. *)
+    back to its static selectivities. *)
 
 type column = Genalg_storage.Table.column_stats
 

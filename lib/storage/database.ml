@@ -8,24 +8,24 @@ type entry = {
   mutable grantees : string list; (* read grants, user tables only *)
 }
 
+type cache = ..
+
 type t = {
-  id : int;
   mutable entries : entry list;
   mutable catalog_version : int;
   udts : Udt.t;
+  mutable cache : cache option;
+      (* filled by a layer above storage (the sqlx result cache); never
+         copied, so clones and loaded images start empty *)
 }
 
 let loader_actor = "etl"
 
-(* Process-unique ids let process-wide caches (sqlx plan/result) key by
-   database instance without keeping the instance alive. *)
-let next_id = ref 0
-
 let create () =
-  incr next_id;
-  { id = !next_id; entries = []; catalog_version = 0; udts = Udt.create () }
+  { entries = []; catalog_version = 0; udts = Udt.create (); cache = None }
 
-let id t = t.id
+let cache t = t.cache
+let set_cache t c = t.cache <- Some c
 let catalog_version t = t.catalog_version
 let udts t = t.udts
 

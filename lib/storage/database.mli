@@ -17,9 +17,16 @@ type t
 
 val create : unit -> t
 
-val id : t -> int
-(** Process-unique instance id; process-wide caches (sqlx plan/result)
-    use it as part of their keys. *)
+type cache = ..
+(** Per-database state owned by a layer above storage. The sqlx result
+    cache extends this type, so each database carries its own cache and
+    drops it with the database. *)
+
+val cache : t -> cache option
+(** [None] until {!set_cache}; {!create}, {!clone} and {!load} all start
+    with [None]. *)
+
+val set_cache : t -> cache -> unit
 
 val catalog_version : t -> int
 (** Bumped by {!create_table}, {!drop_table} and new {!grant_read}s —
@@ -59,7 +66,7 @@ val insert :
     UDT registry. *)
 
 val clone : t -> t
-(** An independent deep copy (fresh {!id}, catalog version 0): every
+(** An independent deep copy (empty {!cache}, catalog version 0): every
     table, row, grant and B-tree index is duplicated through the
     snapshot serializer; genomic indexes, UDT registrations and ANALYZE
     statistics are not carried (the {!load} contract) — re-attach the

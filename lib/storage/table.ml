@@ -20,8 +20,6 @@ type t = {
       (* bumped on every row write; result-cache validation token *)
   mutable schema_version : int;
       (* bumped on planning-relevant changes (indexes, analyze) *)
-  mutable stats_version : int;
-      (* bumped whenever statistics are replaced; plan-cache token *)
 }
 
 and column_stats = {
@@ -41,13 +39,12 @@ and histogram = {
 let create ~name schema =
   { name; schema; heap = Heap.create (); indexes = Hashtbl.create 4;
     genomic = Hashtbl.create 2; pending_genomic = []; stats = None;
-    data_version = 0; schema_version = 0; stats_version = 0 }
+    data_version = 0; schema_version = 0 }
 
 let name t = t.name
 let schema t = t.schema
 let data_version t = t.data_version
 let schema_version t = t.schema_version
-let stats_version t = t.stats_version
 let touch_data t = t.data_version <- t.data_version + 1
 let touch_schema t = t.schema_version <- t.schema_version + 1
 
@@ -228,7 +225,6 @@ let analyze t =
           histogram = build_histogram sorted n })
     (Schema.columns t.schema);
   t.stats <- Some table;
-  t.stats_version <- t.stats_version + 1;
   touch_schema t
 
 let column_stats t ~column =
@@ -254,7 +250,6 @@ let set_stats t entries =
         (fun (col, cs) -> Hashtbl.replace table (String.lowercase_ascii col) cs)
         entries;
       t.stats <- Some table;
-      t.stats_version <- t.stats_version + 1;
       touch_schema t
 
 (* ---- genomic indexes (paper 6.5) --------------------------------- *)

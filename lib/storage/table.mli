@@ -83,17 +83,12 @@ val analyze : t -> unit
 (** Scan the table and cache per-column statistics (row count, NDV,
     nulls, min/max, equi-depth histograms for scalar columns).
     Statistics are a snapshot: they go stale under writes until the next
-    [analyze] (the usual DBMS contract). Bumps {!schema_version} and
-    {!stats_version}. *)
+    [analyze] (the usual DBMS contract). Bumps {!schema_version}. *)
 
 val column_stats : t -> column:string -> column_stats option
 (** [None] before {!analyze} or for unknown columns. *)
 
 val has_stats : t -> bool
-
-val stats_version : t -> int
-(** Bumped whenever statistics are replaced ({!analyze}, {!set_stats});
-    plan caches key on this so re-ANALYZE invalidates cached plans. *)
 
 val stats_snapshot : t -> (string * column_stats) list
 (** All per-column statistics sorted by column name; [[]] before
@@ -101,7 +96,7 @@ val stats_snapshot : t -> (string * column_stats) list
 
 val set_stats : t -> (string * column_stats) list -> unit
 (** Install statistics wholesale (image load / clone); [[]] is a no-op.
-    Bumps {!schema_version} and {!stats_version}. *)
+    Bumps {!schema_version}. *)
 
 (** {1 Genomic (substring) indexes — paper section 6.5}
 

@@ -1,6 +1,6 @@
-(* Integration tests for the caching layers (lib/cache + sqlx statement
-   caches + mediator response cache): staleness safety after writes and
-   ETL deltas, plan reuse. *)
+(* Integration tests for the caching layers (lib/cache + the per-database
+   sqlx result cache + mediator response cache): staleness safety after
+   writes and ETL deltas, isolation between databases. *)
 
 module D = Genalg_storage.Dtype
 module Db = Genalg_storage.Database
@@ -15,17 +15,16 @@ module Obs = Genalg_obs.Obs
 let check = Alcotest.check
 let tc = Alcotest.test_case
 
-(* every test runs with a clean metrics registry and clean statement
-   caches, and restores the disabled default on the way out *)
+(* every test runs with a clean metrics registry and restores the
+   disabled default on the way out; result caches belong to each test's
+   own databases, so there is nothing else to reset *)
 let isolated f =
-  Exec.clear_statement_caches ();
   Obs.set_enabled true;
   Obs.reset ();
   Fun.protect
     ~finally:(fun () ->
       Obs.reset ();
-      Obs.set_enabled false;
-      Exec.clear_statement_caches ())
+      Obs.set_enabled false)
     f
 
 let counter name = Obs.value (Obs.counter name)
@@ -56,56 +55,7 @@ let count_of db sql =
   | [ [| D.Int n |] ] -> n
   | _ -> Alcotest.fail "expected a single count"
 
-(* ---- sqlx: plan cache --------------------------------------------------- *)
-
-let test_plan_cache_reuses_plans () =
-  isolated @@ fun () ->
-  let db = fixture_db () in
-  Obs.reset ();
-  let q = "EXPLAIN SELECT organism FROM frag WHERE len > 300" in
-  let first = rows_of (Exec.query db ~actor:"u" q) in
-  check Alcotest.int "first EXPLAIN misses the plan cache" 0 (counter "cache.plan.hits");
-  let second = rows_of (Exec.query db ~actor:"u" q) in
-  check Alcotest.int "second EXPLAIN hits the plan cache" 1 (counter "cache.plan.hits");
-  check Alcotest.bool "identical EXPLAIN trees" true (first = second);
-  (* the executing path shares the same cache: a plain SELECT re-plans
-     nothing either *)
-  ignore (rows_of (Exec.query db ~actor:"u" "SELECT organism FROM frag WHERE len > 300"));
-  check Alcotest.int "SELECT reuses the explained plan" 2 (counter "cache.plan.hits")
-
-let test_analyze_invalidates_plan_cache () =
-  (* ANALYZE bumps the table's stats version; cached plans validate
-     against it, so a plan built on old statistics is never served *)
-  isolated @@ fun () ->
-  let db = fixture_db () in
-  Obs.reset ();
-  let q = "EXPLAIN SELECT organism FROM frag WHERE len > 300" in
-  let explain () =
-    rows_of (Exec.query db ~actor:"u" q)
-    |> List.map (function [| D.Str s |] -> s | _ -> "")
-    |> String.concat "\n"
-  in
-  let before = explain () in
-  ignore (explain ());
-  check Alcotest.int "warm plan hit before ANALYZE" 1 (counter "cache.plan.hits");
-  (match Exec.query db ~actor:"u" "ANALYZE frag" with
-  | Ok _ -> ()
-  | Error m -> Alcotest.fail m);
-  let after = explain () in
-  check Alcotest.int "ANALYZE dropped the cached plan" 1
-    (counter "cache.plan.hits");
-  (* the re-planned query consults the fresh statistics: the heuristic
-     plan carried no estimates, the cost-based one does *)
-  let has needle hay =
-    let n = String.length needle and l = String.length hay in
-    let rec mem i = i + n <= l && (String.sub hay i n = needle || mem (i + 1)) in
-    mem 0
-  in
-  check Alcotest.bool "old plan had no estimates" false (has "est~" before);
-  check Alcotest.bool "new plan carries estimates" true (has "est~" after);
-  ignore (explain ());
-  check Alcotest.int "the re-planned entry caches again" 2
-    (counter "cache.plan.hits")
+(* ---- sqlx: result cache ------------------------------------------------- *)
 
 let test_result_cache_hit () =
   isolated @@ fun () ->
@@ -116,6 +66,35 @@ let test_result_cache_hit () =
   check Alcotest.int "warm count identical" 20 (count_of db "SELECT count(*) FROM frag");
   check Alcotest.int "result cache hit" 1 (counter "cache.result.hits");
   check Alcotest.int "queries still counted on hits" 2 (counter "sqlx.queries")
+
+let test_databases_isolated () =
+  (* each database owns its result cache: the same SELECT over a
+     same-named table in another database never sees this one's rows *)
+  isolated @@ fun () ->
+  let db_a = fixture_db () in
+  let db_b = fixture_db () in
+  (match Exec.query db_b ~actor:"u" "INSERT INTO frag VALUES (21, 'ecoli', 999)" with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail m);
+  let q = "SELECT count(*) FROM frag" in
+  check Alcotest.int "database A counts its own rows" 20 (count_of db_a q);
+  check Alcotest.int "database B counts its own rows" 21 (count_of db_b q);
+  check Alcotest.int "A again, warm" 20 (count_of db_a q);
+  check Alcotest.int "B again, warm" 21 (count_of db_b q);
+  check Alcotest.int "each warm read hit its own cache" 2
+    (counter "cache.result.hits")
+
+let test_clone_starts_cold () =
+  isolated @@ fun () ->
+  let db = fixture_db () in
+  let q = "SELECT count(*) FROM frag" in
+  ignore (count_of db q);
+  ignore (count_of db q);
+  let copy = Db.clone db in
+  Obs.reset ();
+  check Alcotest.int "clone sees the copied rows" 20 (count_of copy q);
+  check Alcotest.int "clone's first SELECT misses" 1 (counter "cache.result.misses");
+  check Alcotest.int "and does not hit" 0 (counter "cache.result.hits")
 
 (* ---- sqlx: staleness safety --------------------------------------------- *)
 
@@ -130,15 +109,34 @@ let test_insert_invalidates_result_cache () =
   (match Exec.query db ~actor:"u" "INSERT INTO frag VALUES (21, 'ecoli', 999)" with
   | Ok _ -> ()
   | Error m -> Alcotest.fail m);
+  check Alcotest.int "no stale count after INSERT" 21 (count_of db q);
+  (* validation drops the stale entry at lookup, so the invalidation is
+     counted by the re-read *)
   check Alcotest.bool "INSERT invalidated cached results" true
     (counter "cache.result.invalidations" >= 1);
-  check Alcotest.int "no stale count after INSERT" 21 (count_of db q);
   (match Exec.query db ~actor:"u" "DELETE FROM frag WHERE id = 21" with
   | Ok _ -> ()
   | Error m -> Alcotest.fail m);
   check Alcotest.int "no stale count after DELETE" 20 (count_of db q);
   check Alcotest.int "hits did not grow from stale entries" 1
     (counter "cache.result.hits")
+
+let test_miss_sweeps_stale_entries () =
+  (* a write leaves the cached count stale; the next miss, on another
+     statement, drops it before storing its own result, so dead entries
+     never fill the cache *)
+  isolated @@ fun () ->
+  let db = fixture_db () in
+  Obs.reset ();
+  ignore (count_of db "SELECT count(*) FROM frag");
+  (match Exec.query db ~actor:"u" "INSERT INTO frag VALUES (21, 'ecoli', 999)" with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail m);
+  check Alcotest.int "no invalidation before a lookup" 0
+    (counter "cache.result.invalidations");
+  ignore (count_of db "SELECT count(*) FROM frag WHERE len > 300");
+  check Alcotest.int "the miss swept the stale count" 1
+    (counter "cache.result.invalidations")
 
 let test_direct_table_write_validated () =
   (* a write that bypasses sqlx entirely (direct Table.update, the ETL
@@ -254,11 +252,11 @@ let suites =
   [
     ( "cache",
       [
-        tc "plan cache reuses plans" `Quick test_plan_cache_reuses_plans;
-        tc "ANALYZE invalidates cached plans" `Quick
-          test_analyze_invalidates_plan_cache;
         tc "result cache hit" `Quick test_result_cache_hit;
+        tc "databases do not share results" `Quick test_databases_isolated;
+        tc "clone starts with a cold cache" `Quick test_clone_starts_cold;
         tc "INSERT/DELETE invalidate results" `Quick test_insert_invalidates_result_cache;
+        tc "a miss sweeps stale entries" `Quick test_miss_sweeps_stale_entries;
         tc "direct table write never stale" `Quick test_direct_table_write_validated;
         tc "ETL delta-refresh invalidates" `Quick test_etl_refresh_invalidates;
         tc "mediator cache hit" `Quick test_mediator_cache_hit;

@@ -176,17 +176,22 @@ let test_sql_genomic_index_equivalence () =
 let test_sql_planner_picks_genomic_access () =
   let db, run = sql_fixture () in
   ignore (run "CREATE GENOMIC INDEX ON frags (seq)");
+  let resolve table f d =
+    match Db.resolve db ~actor:"u" table with Some (_, t) -> f t | None -> d
+  in
   let catalog =
     {
       Plan.has_index = (fun ~table:_ ~column:_ -> false);
       has_genomic_index =
-        (fun ~table ~column ->
-          match Db.resolve db ~actor:"u" table with
-          | Some (_, t) -> Table.has_genomic_index t ~column
-          | None -> false);
+        (fun ~table ~column -> resolve table (Table.has_genomic_index ~column) false);
       column_exists = (fun ~table:_ ~column:_ -> true);
-      equality_selectivity = (fun ~table:_ ~column:_ -> None);
       column_dtype = (fun ~table:_ ~column:_ -> None);
+      analyzed = (fun ~table:_ -> false);
+      row_count = (fun ~table -> resolve table Table.row_count 0);
+      stats_of = (fun ~table:_ ~column:_ -> None);
+      genomic_k_of = (fun ~table ~column -> resolve table (Table.genomic_k ~column) None);
+      genomic_mean_len_of =
+        (fun ~table ~column -> resolve table (Table.genomic_mean_len ~column) None);
     }
   in
   let select =

@@ -1,9 +1,9 @@
 (* Plan-equivalence and cost-model tests for the cost-based optimizer:
-   plans for a table before and after ANALYZE (static rules vs cost
-   model), and the [~optimize:false] nested-loop full-scan baseline,
-   must return identical result sets on every query (the plans may —
-   and sometimes must — differ), histogram/estimator sanity, genomic
-   access-path equivalence, and stale-statistics behaviour. *)
+   plans for a table before ANALYZE (default statistics) and after it
+   (measured statistics) must return the same result sets as the
+   [~optimize:false] nested-loop full-scan reference on every query (the
+   plans may — and sometimes must — differ), histogram/estimator sanity,
+   genomic access-path equivalence, and stale-statistics behaviour. *)
 
 module D = Genalg_storage.Dtype
 module Db = Genalg_storage.Database
@@ -27,16 +27,26 @@ let run db sql =
   | Ok o -> o
   | Error m -> Alcotest.failf "%s: %s" sql m
 
-let rows ?optimize db sql =
-  match Exec.query ?optimize db ~actor:"u" sql with
+let rows db sql =
+  match Exec.query db ~actor:"u" sql with
   | Ok (Exec.Rows rs) -> (rs.Exec.columns, List.map Array.to_list rs.Exec.rows)
   | Ok _ -> Alcotest.failf "%s: expected rows" sql
   | Error m -> Alcotest.failf "%s: %s" sql m
 
+(* executes on every call: the result cache would otherwise answer a
+   repeated SELECT at another jobs setting without running it *)
+let select_rows ?optimize db sql =
+  match Genalg_sqlx.Parser.parse sql with
+  | Ok (Genalg_sqlx.Ast.Select s) -> (
+      match Exec.run_select ?optimize db ~actor:"u" s with
+      | Ok rs -> (rs.Exec.columns, List.map Array.to_list rs.Exec.rows)
+      | Error m -> Alcotest.failf "%s: %s" sql m)
+  | _ -> Alcotest.failf "expected a SELECT: %s" sql
+
 (* result-set comparison is order-insensitive: access paths and join
    orders legitimately change row order (multiset semantics) *)
 let sorted_rows ?optimize db sql =
-  let cols, rs = rows ?optimize db sql in
+  let cols, rs = select_rows ?optimize db sql in
   (cols, List.sort compare rs)
 
 let explain_text db sql =
@@ -213,20 +223,23 @@ let test_seed_path_equivalence () =
     Printf.sprintf "SELECT id FROM frags WHERE resembles(seq, dna('%s')) >= 0.9"
       pattern30
   in
-  (* before ANALYZE the static rules plan the table *)
-  let heuristic = sorted_rows db q in
-  let hplan = explain_text db q in
-  check Alcotest.bool "heuristic plan scans" true (contains hplan "full scan");
+  (* the reference: a full scan that runs resembles on every row *)
+  let scan = sorted_rows ~optimize:false db q in
+  (* default statistics (live row count, k and mean length from the
+     index) already make the seed path the cheapest *)
+  let dplan = explain_text db q in
+  check Alcotest.bool "default-stats plan takes the seed path" true
+    (contains dplan "genomic seed seq");
+  check Alcotest.bool "seed path = scan path before ANALYZE" true
+    (scan = sorted_rows db q);
   ignore (run db "ANALYZE frags");
   let cplan = explain_text db q in
-  (* the acceptance bar: a query whose chosen plan differs between the
-     planners, visible in EXPLAIN *)
-  check Alcotest.bool "cost-based plan takes the seed path" true
+  check Alcotest.bool "analyzed plan keeps the seed path" true
     (contains cplan "genomic seed seq");
   check Alcotest.bool "plan carries an estimate" true (contains cplan "est~");
   let cost = sorted_rows db q in
   check Alcotest.bool "seed path = scan path (identical result sets)" true
-    (heuristic = cost);
+    (scan = cost);
   check Alcotest.int "all 20 planted rows found" 20 (List.length (snd cost))
 
 let test_seed_path_below_threshold_stays_scan () =
@@ -247,13 +260,13 @@ let test_contains_path_with_stats () =
   let q =
     Printf.sprintf "SELECT id FROM frags WHERE contains(seq, '%s')" pattern30
   in
-  let heuristic = sorted_rows db q in
+  let scan = sorted_rows ~optimize:false db q in
   ignore (run db "ANALYZE frags");
   let cplan = explain_text db q in
   check Alcotest.bool "cost-based keeps the k-mer contains path" true
     (contains cplan "genomic index seq");
   check Alcotest.bool "contains path = scan path" true
-    (heuristic = sorted_rows db q)
+    (scan = sorted_rows db q)
 
 let test_genomic_index_survives_save_load () =
   (* genomic indexes persist as (column, k) specs in v3 images and are
@@ -307,14 +320,14 @@ let nums_fixture n =
 let test_range_path_with_stats () =
   let db = nums_fixture 400 in
   let q = "SELECT v FROM nums WHERE id < 37" in
-  let heuristic = sorted_rows db q in
+  let scan = sorted_rows ~optimize:false db q in
   ignore (run db "ANALYZE nums");
   let cplan = explain_text db q in
   check Alcotest.bool "cost-based keeps the selective range index" true
     (contains cplan "index id in");
   check Alcotest.bool "plan carries an estimate" true (contains cplan "est~");
   check Alcotest.bool "index path = scan path" true
-    (heuristic = sorted_rows db q)
+    (scan = sorted_rows db q)
 
 (* ---- join reordering ---------------------------------------------------- *)
 
@@ -331,7 +344,7 @@ let test_join_reorder_smallest_first () =
   let q = "SELECT * FROM big, small WHERE big.k = small.k" in
   let hcols, hrows = sorted_rows db q in
   let hplan = explain_text db q in
-  check Alcotest.bool "heuristic scans big first" true
+  check Alcotest.bool "unanalyzed tables keep FROM order: big first" true
     (String.length hplan > 0
     &&
     match String.index_opt hplan '\n' with
@@ -351,30 +364,6 @@ let test_join_reorder_smallest_first () =
   check Alcotest.bool "identical result sets" true (hrows = crows);
   check Alcotest.bool "rows actually joined" true (List.length crows > 0)
 
-(* ---- EXPLAIN ANALYZE: estimates vs actuals ------------------------------ *)
-
-let test_explain_analyze_estimates () =
-  let db = nums_fixture 200 in
-  let q = "SELECT id FROM nums WHERE v = 3" in
-  (* an unanalyzed table gives the planner nothing to estimate from *)
-  check Alcotest.bool "no estimates on an unanalyzed table" false
-    (contains (explain_analyze_text db q) "est~");
-  ignore (run db "ANALYZE nums");
-  let txt = explain_analyze_text db q in
-  let scan_line =
-    List.find_opt
-      (fun l -> contains l "Scan nums")
-      (String.split_on_char '\n' txt)
-  in
-  match scan_line with
-  | Some l ->
-      check Alcotest.bool "scan shows actual rows" true (contains l "rows=");
-      check Alcotest.bool "scan shows the planner estimate" true
-        (contains l "est~")
-  | None -> Alcotest.fail "expected a Scan operator line"
-
-(* ---- stale statistics --------------------------------------------------- *)
-
 (* first "est~<n>" value in an EXPLAIN rendering *)
 let first_estimate txt =
   let tag = "est~" in
@@ -390,6 +379,39 @@ let first_estimate txt =
       let j = ref i in
       while !j < nt && txt.[!j] >= '0' && txt.[!j] <= '9' do incr j done;
       if !j = i then None else Some (int_of_string (String.sub txt i (!j - i)))
+
+(* ---- EXPLAIN ANALYZE: estimates vs actuals ------------------------------ *)
+
+let test_explain_analyze_estimates () =
+  let db = nums_fixture 200 in
+  let q = "SELECT id FROM nums WHERE v = 3" in
+  let scan_estimate () =
+    let txt = explain_analyze_text db q in
+    match
+      List.find_opt
+        (fun l -> contains l "Scan nums")
+        (String.split_on_char '\n' txt)
+    with
+    | Some l -> (
+        check Alcotest.bool "scan shows actual rows" true (contains l "rows=");
+        match first_estimate l with
+        | Some e -> e
+        | None -> Alcotest.failf "expected a planner estimate in %S" l)
+    | None -> Alcotest.fail "expected a Scan operator line"
+  in
+  (* unanalyzed: 200 live rows times the static equality selectivity *)
+  let default_est = scan_estimate () in
+  check Alcotest.int "default-stats estimate" 10 default_est;
+  ignore (run db "ANALYZE nums");
+  (* measured: 200 rows over 7 distinct values of v *)
+  let measured_est = scan_estimate () in
+  check Alcotest.bool
+    (Printf.sprintf "ANALYZE moves the estimate (est~%d -> est~%d)" default_est
+       measured_est)
+    true
+    (measured_est >= 25 && measured_est <= 32)
+
+(* ---- stale statistics --------------------------------------------------- *)
 
 let test_stale_stats_correct_and_refreshable () =
   let db = nums_fixture 100 in
@@ -414,7 +436,7 @@ let test_stale_stats_correct_and_refreshable () =
         true (e <= 5)
   | None -> Alcotest.fail "expected an estimate on the analyzed scan");
   (* only ANALYZE runs between the two EXPLAINs, so an estimate change
-     proves re-ANALYZE invalidated the cached plan and refreshed stats *)
+     proves the planner reads the refreshed statistics *)
   ignore (run db "ANALYZE nums");
   match first_estimate (explain_text db q) with
   | Some e ->
@@ -433,43 +455,64 @@ let equivalence_queries =
     "SELECT r.v, s.w FROM r, s WHERE r.k = s.k";
     "SELECT count(*) FROM r WHERE k >= 5";
     "SELECT v FROM r ORDER BY v DESC LIMIT 5";
+    Printf.sprintf "SELECT id FROM g WHERE contains(seq, '%s')" pattern30;
+    Printf.sprintf "SELECT id FROM g WHERE resembles(seq, dna('%s')) >= 0.9"
+      pattern30;
+    "SELECT id FROM g WHERE contains(seq, 'ACGTAC') AND id > 3";
   ]
 
+(* The oracle is [~optimize:false]: full scans, filters in source order,
+   nested loops. Every optimized configuration (default statistics, then
+   measured ones, each at jobs 1 and 4) must return its result sets. The
+   genomically indexed DNA table [g] makes the genomic access paths,
+   chosen on default statistics too, answer to a full scan. *)
 let plan_equivalence_property =
   let module Q = QCheck2 in
   let gen =
     Q.Gen.(
-      pair
+      triple
         (list_size (int_bound 30) (int_bound 20))
-        (list_size (int_bound 12) (int_bound 20)))
+        (list_size (int_bound 12) (int_bound 20))
+        (pair (list_size (int_bound 24) bool) int))
   in
-  let prop (ls, rs) =
+  let prop (ls, rs, (planted, seed)) =
     let db = mk_db () in
     ignore (run db "CREATE TABLE r (k int, v int)");
     ignore (run db "CREATE INDEX ON r (k)");
     ignore (run db "CREATE TABLE s (k int, w int)");
+    ignore (run db "CREATE TABLE g (id int, seq dna)");
     List.iteri
       (fun i k -> ignore (run db (Printf.sprintf "INSERT INTO r VALUES (%d, %d)" k i)))
       ls;
     List.iteri
       (fun i k -> ignore (run db (Printf.sprintf "INSERT INTO s VALUES (%d, %d)" k i)))
       rs;
-    let snap () = List.map (sorted_rows db) equivalence_queries in
-    let heuristic = snap () in
-    ignore (run db "ANALYZE r");
-    ignore (run db "ANALYZE s");
-    let cost = snap () in
-    let prev = Par.jobs () in
-    let cost_par =
-      Par.set_jobs 4;
+    let rng = Genalg_synth.Rng.make seed in
+    List.iteri
+      (fun i plant ->
+        let s = Genalg_synth.Seqgen.dna_string rng 60 in
+        let s = if plant then pattern30 ^ s else s in
+        ignore (run db (Printf.sprintf "INSERT INTO g VALUES (%d, dna('%s'))" i s)))
+      planted;
+    ignore (run db "CREATE GENOMIC INDEX ON g (seq)");
+    let snap ?optimize () = List.map (sorted_rows ?optimize db) equivalence_queries in
+    let at_jobs n =
+      let prev = Par.jobs () in
+      Par.set_jobs n;
       Fun.protect ~finally:(fun () -> Par.set_jobs prev) snap
     in
-    heuristic = cost && cost = cost_par
+    let reference = snap ~optimize:false () in
+    let default_1 = at_jobs 1 in
+    let default_4 = at_jobs 4 in
+    List.iter (fun t -> ignore (run db ("ANALYZE " ^ t))) [ "r"; "s"; "g" ];
+    let measured_1 = at_jobs 1 in
+    let measured_4 = at_jobs 4 in
+    List.for_all (( = ) reference) [ default_1; default_4; measured_1; measured_4 ]
   in
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:25
-       ~name:"cost-based = heuristic result sets (random tables, any jobs)" gen
-       prop)
+       ~name:"optimized = unoptimized result sets (default and measured stats, any jobs)"
+       gen prop)
 
 let suites =
   [

@@ -175,12 +175,15 @@ let sql_fixture () =
   done;
   db
 
+(* executes on every call: the result cache would otherwise answer the
+   jobs>1 runs with the jobs=1 result *)
 let rows_of db sql =
-  Exec.clear_statement_caches ();
-  match Exec.query db ~actor:"tester" sql with
-  | Ok (Exec.Rows rs) -> rs.Exec.rows
-  | Ok _ -> Alcotest.failf "expected rows from %s" sql
-  | Error msg -> Alcotest.failf "%s (%s)" msg sql
+  match Genalg_sqlx.Parser.parse sql with
+  | Ok (Genalg_sqlx.Ast.Select s) -> (
+      match Exec.run_select db ~actor:"tester" s with
+      | Ok rs -> rs.Exec.rows
+      | Error msg -> Alcotest.failf "%s (%s)" msg sql)
+  | _ -> Alcotest.failf "expected a SELECT: %s" sql
 
 let test_sql_jobs_identical () =
   let db = sql_fixture () in

@@ -105,13 +105,19 @@ let test_eval_builtins () =
 
 (* ---- planner -------------------------------------------------------------- *)
 
-let catalog ?(genomic = []) ~indexed () =
+(* unanalyzed 1000-row tables: the cost model plans on default
+   selectivities *)
+let catalog ~indexed () =
   {
     Plan.has_index = (fun ~table:_ ~column -> List.mem column indexed);
-    has_genomic_index = (fun ~table:_ ~column -> List.mem column genomic);
+    has_genomic_index = (fun ~table:_ ~column:_ -> false);
     column_exists = (fun ~table:_ ~column:_ -> true);
-    equality_selectivity = (fun ~table:_ ~column:_ -> None);
     column_dtype = (fun ~table:_ ~column:_ -> None);
+    analyzed = (fun ~table:_ -> false);
+    row_count = (fun ~table:_ -> 1000);
+    stats_of = (fun ~table:_ ~column:_ -> None);
+    genomic_k_of = (fun ~table:_ ~column:_ -> None);
+    genomic_mean_len_of = (fun ~table:_ ~column:_ -> None);
   }
 
 let select_of input =
@@ -458,10 +464,8 @@ let join_fixture () =
 (* [~optimize:false] is the nested-loop reference: full scans, filters
    in source order, a nested loop at every join step *)
 let join_rows ?optimize db sql =
-  Exec.clear_statement_caches ();
-  match Exec.query ?optimize db ~actor:"u" sql with
-  | Ok (Exec.Rows rs) -> rs.Exec.rows
-  | Ok _ -> Alcotest.failf "expected rows from %s" sql
+  match Exec.run_select ?optimize db ~actor:"u" (select_of sql) with
+  | Ok rs -> rs.Exec.rows
   | Error msg -> Alcotest.failf "%s (%s)" msg sql
 
 let test_join_hash_equals_nested () =
@@ -534,7 +538,6 @@ let test_explain_join_strategy () =
     at 0
   in
   let explain_text ?optimize sql =
-    Exec.clear_statement_caches ();
     match Exec.query ?optimize db ~actor:"u" ("EXPLAIN " ^ sql) with
     | Ok (Exec.Rows rs) ->
         String.concat "\n"

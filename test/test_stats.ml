@@ -64,50 +64,44 @@ let test_analyze_statement () =
     (Result.is_error (Exec.query db ~actor:"u" "ANALYZE nope"))
 
 let catalog_of db =
+  let resolve table f d =
+    match Db.resolve db ~actor:"u" table with Some (_, t) -> f t | None -> d
+  in
   {
     Plan.has_index = (fun ~table:_ ~column:_ -> false);
     has_genomic_index = (fun ~table:_ ~column:_ -> false);
     column_exists =
       (fun ~table ~column ->
-        match Db.resolve db ~actor:"u" table with
-        | Some (_, t) ->
-            Genalg_storage.Schema.column_index (Table.schema t) column <> None
-        | None -> false);
-    equality_selectivity =
-      (fun ~table ~column ->
-        match Db.resolve db ~actor:"u" table with
-        | Some (_, t) -> (
-            match Table.column_stats t ~column with
-            | Some { Table.distinct; _ } when distinct > 0 ->
-                Some (1. /. float_of_int distinct)
-            | _ -> None)
-        | None -> None);
+        resolve table
+          (fun t -> Genalg_storage.Schema.column_index (Table.schema t) column <> None)
+          false);
     column_dtype = (fun ~table:_ ~column:_ -> None);
+    analyzed = (fun ~table -> resolve table Table.has_stats false);
+    row_count = (fun ~table -> resolve table Table.row_count 0);
+    stats_of = (fun ~table ~column -> resolve table (Table.column_stats ~column) None);
+    genomic_k_of = (fun ~table:_ ~column:_ -> None);
+    genomic_mean_len_of = (fun ~table:_ ~column:_ -> None);
   }
 
 let test_stats_driven_ordering () =
   let db, run = fixture () in
-  let expr s = Result.get_ok (Genalg_sqlx.Parser.parse_expr s) in
-  let catalog = catalog_of db in
-  let rank e = Plan.rank_with catalog ~table:"t" ~alias:"t" (expr e) in
-  (* without stats both equalities use the static default: equal rank *)
-  check Alcotest.bool "no stats: tie" true (rank "grp = 'g1'" = rank "uniq = 42");
-  ignore (run "ANALYZE t");
-  (* with stats: uniq (1/100) is far more selective than grp (1/4) *)
-  check Alcotest.bool "stats: unique key ranks first" true
-    (rank "uniq = 42" < rank "grp = 'g1'");
-  (* and the plan orders them accordingly *)
   let select =
     match Genalg_sqlx.Parser.parse "SELECT * FROM t WHERE grp = 'g1' AND uniq = 42" with
     | Ok (Ast.Select s) -> s
     | _ -> Alcotest.fail "parse"
   in
-  let plan = Plan.make catalog select in
-  match (List.hd plan.Plan.tables).Plan.filters with
-  | [ first; _ ] ->
-      check Alcotest.string "uniq predicate evaluated first" "(uniq = 42)"
-        (Ast.expr_to_string first)
-  | _ -> Alcotest.fail "expected two residual filters"
+  let first_filter () =
+    match (List.hd (Plan.make (catalog_of db) select).Plan.tables).Plan.filters with
+    | [ first; _ ] -> Ast.expr_to_string first
+    | _ -> Alcotest.fail "expected two residual filters"
+  in
+  (* without stats both equalities use the static default: the tie keeps
+     source order *)
+  check Alcotest.string "no stats: source order" "(grp = 'g1')" (first_filter ());
+  ignore (run "ANALYZE t");
+  (* with stats: uniq (1/100) is far more selective than grp (1/4) *)
+  check Alcotest.string "uniq predicate evaluated first" "(uniq = 42)"
+    (first_filter ())
 
 let test_stats_do_not_change_results () =
   let db, run = fixture () in

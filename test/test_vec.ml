@@ -301,12 +301,20 @@ let queries : (string * (read list -> D.value array list)) list =
                [| D.Str org; D.Int n |]) );
   ]
 
+(* a SELECT executes on every call, so runs at different jobs settings
+   compare executions rather than a cached result *)
 let run_q db sql =
-  Exec.clear_statement_caches ();
-  match Exec.query db ~actor:Db.loader_actor sql with
-  | Ok (Exec.Rows rs) -> Ok (rs.Exec.columns, rs.Exec.rows)
-  | Ok _ -> Error "not rows"
-  | Error e -> Error e
+  let ( let* ) = Result.bind in
+  let* stmt = Genalg_sqlx.Parser.parse sql in
+  let* outcome =
+    match stmt with
+    | Genalg_sqlx.Ast.Select s ->
+        Result.map (fun rs -> Exec.Rows rs) (Exec.run_select db ~actor:Db.loader_actor s)
+    | stmt -> Exec.run db ~actor:Db.loader_actor stmt
+  in
+  match outcome with
+  | Exec.Rows rs -> Ok (rs.Exec.columns, rs.Exec.rows)
+  | _ -> Error "not rows"
 
 let rows_q db sql = Result.map snd (run_q db sql)
 
