@@ -303,8 +303,8 @@ let stats_cmd =
           exit 2
     in
     with_db path (fun db ->
-        Printf.printf "%-8s %-12s %8s %6s %-24s %s\n" "space" "table" "rows"
-          "pages" "indexed" "genomic";
+        Printf.printf "%-8s %-12s %8s %-24s %s\n" "space" "table" "rows"
+          "indexed" "genomic";
         List.iter
           (fun (space, t) ->
             let module Table = Genalg_storage.Table in
@@ -316,9 +316,9 @@ let stats_cmd =
                 (Schema.columns (Table.schema t))
               |> List.map (fun (c : Schema.column) -> c.Schema.name)
             in
-            Printf.printf "%-8s %-12s %8d %6d %-24s %s\n"
+            Printf.printf "%-8s %-12s %8d %-24s %s\n"
               (match space with Db.Public -> "public" | Db.User u -> u)
-              (Table.name t) (Table.row_count t) (Table.page_count t)
+              (Table.name t) (Table.row_count t)
               (String.concat "," (Table.indexed_columns t))
               (String.concat "," genomic_cols))
           (Db.tables db);
@@ -410,7 +410,7 @@ let stats_cmd =
   Cmd.v
     (Cmd.info "stats"
        ~doc:
-         "Show warehouse table inventory (rows, pages, indexes), optionally \
+         "Show warehouse table inventory (rows, indexes), optionally \
           with the metrics of a traced statement; with --socket, report a \
           running server's serve.* counters over the wire")
     Term.(const run $ path $ socket $ actor $ jobs_flag $ fault_flag $ sql)

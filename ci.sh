@@ -8,6 +8,29 @@ cd "$(dirname "$0")"
 echo "== build =="
 dune build
 
+echo "== checks: the row codec stays at the durable and wire boundaries =="
+# Heaps hold decoded rows, so only images (storage/database.ml), the
+# codec itself (storage/dtype.ml) and the wire protocol (serve/protocol.ml)
+# may encode or decode a row; and a snapshot clone shares tables instead
+# of round-tripping the database through the serializer.
+codec_uses=$(grep -rnE '(encode|decode)_row' lib \
+  | grep -vE '^lib/(storage/database\.ml|storage/dtype\.mli?|serve/protocol\.mli?):' || true)
+[ -z "$codec_uses" ] || {
+  echo "$codec_uses" >&2
+  echo "codec check FAILED: row encode/decode outside the durable and wire boundaries" >&2
+  exit 1
+}
+clone_body=$(awk '/^let clone /{on=1; print; next} on && /^(let|and|type|module|exception) /{on=0} on' lib/storage/database.ml)
+[ -n "$clone_body" ] || {
+  echo "codec check FAILED: no 'let clone' in lib/storage/database.ml" >&2
+  exit 1
+}
+if echo "$clone_body" | grep -q 'serialize'; then
+  echo "codec check FAILED: Database.clone calls serialize" >&2
+  exit 1
+fi
+echo "codec check ok"
+
 echo "== tests =="
 dune runtest
 

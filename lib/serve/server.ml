@@ -451,7 +451,6 @@ let handle_request t s ~defer req =
       | Some _ -> send t s (err P.TXN_STATE "already in a transaction")
       | None ->
           let snapshot = Db.clone t.live in
-          t.config.attach snapshot;
           s.txn <-
             Some
               {

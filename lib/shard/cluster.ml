@@ -863,14 +863,7 @@ let open_dir ?(attach = fun _ -> ()) ~dir () =
               let* applied =
                 apply_entries pdb ~from:log_base (route_entries rp i)
               in
-              let rdb =
-                if replicas then begin
-                  let d = Db.clone pdb in
-                  attach d;
-                  Some (Local d)
-                end
-                else None
-              in
+              let rdb = if replicas then Some (Local (Db.clone pdb)) else None in
               let sh = fresh_shard i (Local pdb) rdb in
               sh.epoch <- entry_epoch i;
               sh.primary.m_applied <- applied;

@@ -774,44 +774,47 @@ let run_select_profiled ?(optimize = true) db ~actor (select : Ast.select) =
   end
   else begin
     (* grouping path *)
-    let* keyed =
-      let rec key_rows acc = function
-        | [] -> Ok (List.rev acc)
-        | bindings :: rest ->
-            let env = env_of db bindings in
-            let rec keys acc' = function
-              | [] -> Ok (List.rev acc')
-              | e :: more ->
-                  let* v = Eval.eval env e in
-                  keys (v :: acc') more
-            in
-            let* ks = keys [] select.Ast.group_by in
-            key_rows ((ks, bindings) :: acc) rest
-      in
-      key_rows [] joined
-    in
-    let groups : (D.value list * binding list list) list =
-      List.fold_left
-        (fun acc (k, row) ->
-          let rec add = function
-            | [] -> [ (k, [ row ]) ]
-            | (k', rows) :: rest ->
-                if List.length k' = List.length k
-                   && List.for_all2 (fun a b -> D.compare_value a b = 0) k' k
-                then (k', rows @ [ row ]) :: rest
-                else (k', rows) :: add rest
-          in
-          add acc)
-        [] keyed
-    in
-    let groups =
+    let* groups =
       (* an aggregate query without GROUP BY forms one group over all rows
          (and yields a single row even over the empty input only for
          COUNT-style aggregates; we follow the common behaviour and return
          one row when input is non-empty, zero-count row when empty) *)
       if select.Ast.group_by = [] then
-        match joined with [] -> [ ([], []) ] | _ -> [ ([], joined) ]
-      else groups
+        Ok (match joined with [] -> [ ([], []) ] | _ -> [ ([], joined) ])
+      else
+        let* keyed =
+          let rec key_rows acc = function
+            | [] -> Ok (List.rev acc)
+            | bindings :: rest ->
+                let env = env_of db bindings in
+                let rec keys acc' = function
+                  | [] -> Ok (List.rev acc')
+                  | e :: more ->
+                      let* v = Eval.eval env e in
+                      keys (v :: acc') more
+                in
+                let* ks = keys [] select.Ast.group_by in
+                key_rows ((ks, bindings) :: acc) rest
+          in
+          key_rows [] joined
+        in
+        (* groups in first-appearance order, each collecting its rows
+           newest first; reversed once below *)
+        let groups : (D.value list * binding list list) list =
+          List.fold_left
+            (fun acc (k, row) ->
+              let rec add = function
+                | [] -> [ (k, [ row ]) ]
+                | (k', rows) :: rest ->
+                    if List.length k' = List.length k
+                       && List.for_all2 (fun a b -> D.compare_value a b = 0) k' k
+                    then (k', row :: rows) :: rest
+                    else (k', rows) :: add rest
+              in
+              add acc)
+            [] keyed
+        in
+        Ok (List.map (fun (k, rows) -> (k, List.rev rows)) groups)
     in
     let items =
       match select.Ast.projection with

@@ -35,6 +35,22 @@ let new_node leaf =
 
 let create () = { root = new_node true }
 
+(* Slots past [n] may still point at keys and children that a split
+   moved away; only the live prefix is copied. Posting lists are
+   immutable and stay shared. *)
+let rec copy_node node =
+  {
+    node with
+    keys = Array.copy node.keys;
+    postings = Array.copy node.postings;
+    children =
+      Array.mapi
+        (fun i child -> if i <= node.n then copy_node child else dummy_node)
+        node.children;
+  }
+
+let copy t = { root = copy_node t.root }
+
 let cmp = Dtype.compare_value
 
 (* index of the first key >= k in node, or node.n *)

@@ -6,6 +6,10 @@ type t
 
 val create : unit -> t
 
+val copy : t -> t
+(** An independent tree with the same postings: writes to either side
+    are invisible to the other. *)
+
 val insert : t -> Dtype.value -> Heap.rid -> unit
 
 val remove : t -> Dtype.value -> Heap.rid -> bool

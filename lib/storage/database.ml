@@ -583,26 +583,13 @@ let parse_body contents =
       | Corrupt msg -> Error ("Database.load: " ^ msg)
       | Invalid_argument msg -> Error ("Database.load: " ^ msg))
 
-(* Snapshot clone through the serializer: cheap enough at warehouse
-   scale, and it reuses the one codepath that already knows how to copy
-   every table. B-tree indexes are rebuilt; ANALYZE statistics and
-   genomic index specs carry over (v3 bodies persist them). Built
-   genomic indexes are shared copy-on-write with the clone when record
-   ids line up (the common no-tombstone case), so a snapshot BEGIN no
-   longer pays a rebuild-sized allocation spike; otherwise the specs
-   stay pending and — like UDT registrations — materialize when an
-   adapter re-attaches (same contract as [load]: both the CLI and the
-   serve layer attach after load/clone, which triggers
-   [Table.rebuild_genomic_indexes]). *)
 let clone t =
-  match parse_body (serialize t) with
-  | Ok t' ->
-      (* serialize/parse preserves entry order, so the lists pair up *)
-      List.iter2
-        (fun e e' -> Table.share_genomic_indexes ~src:e.table ~dst:e'.table)
-        t.entries t'.entries;
-      t'
-  | Error msg -> invalid_arg ("Database.clone: " ^ msg)
+  {
+    entries = List.map (fun e -> { e with table = Table.share e.table }) t.entries;
+    catalog_version = t.catalog_version;
+    udts = t.udts;
+    cache = None;
+  }
 
 let load path =
   match

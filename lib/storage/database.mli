@@ -66,12 +66,13 @@ val insert :
     UDT registry. *)
 
 val clone : t -> t
-(** An independent deep copy (empty {!cache}, catalog version 0): every
-    table, row, grant and B-tree index is duplicated through the
-    snapshot serializer; genomic indexes, UDT registrations and ANALYZE
-    statistics are not carried (the {!load} contract) — re-attach the
-    adapter on the copy. Transaction snapshots in the serve layer are
-    made with this. *)
+(** A snapshot that shares every table copy-on-write ({!Table.share}),
+    in O(tables): rows, B-trees, genomic indexes, ANALYZE statistics and
+    grants carry over, and the UDT registry is shared, so the copy needs
+    no adapter attach. The first write to a table through either
+    database copies that table for the writer only. Starts with an empty
+    {!cache}. Transaction snapshots in the serve layer are made with
+    this. *)
 
 val tables : t -> (space * Table.t) list
 (** Every table, public space first, then user spaces sorted by owner. *)

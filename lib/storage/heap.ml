@@ -1,81 +1,65 @@
 module Obs = Genalg_obs.Obs
 
-let c_page_allocs = Obs.counter "storage.heap.page_allocs"
 let c_inserts = Obs.counter "storage.heap.inserts"
 let c_deletes = Obs.counter "storage.heap.deletes"
 
-type rid = { page : int; slot : int }
+type rid = int
 
-(* [pages.(0 .. npages - 1)] are the heap's pages; the array grows by
-   doubling. *)
-type t = { mutable pages : Page.t array; mutable npages : int; mutable live : int }
+(* [slots.(0 .. n - 1)] are the heap's rows, indexed by rid; the array
+   grows by doubling. A deleted slot holds [tombstone], recognised by
+   physical equality, so a live row of any arity can never be
+   mistaken for it. *)
+type t = {
+  mutable slots : Dtype.value array array;
+  mutable n : int;
+  mutable live : int;
+}
 
-let create () = { pages = [||]; npages = 0; live = 0 }
+let tombstone = [| Dtype.Null |]
+let create () = { slots = [||]; n = 0; live = 0 }
+let copy t = { t with slots = Array.sub t.slots 0 t.n }
+let live_slot t rid = rid >= 0 && rid < t.n && t.slots.(rid) != tombstone
 
-let add_page t =
-  Obs.add c_page_allocs 1;
-  if t.npages = Array.length t.pages then begin
-    let bigger = Array.make (max 4 (2 * t.npages)) (Page.create ()) in
-    Array.blit t.pages 0 bigger 0 t.npages;
-    t.pages <- bigger
-  end;
-  let i = t.npages in
-  t.pages.(i) <- Page.create ();
-  t.npages <- i + 1;
-  i
-
-let valid t rid = rid.page >= 0 && rid.page < t.npages
-
-let insert t record =
+let insert t row =
   Obs.add c_inserts 1;
-  (* try the last page first; heap loads are append-dominated *)
-  let try_page i =
-    Option.map (fun slot -> { page = i; slot }) (Page.insert t.pages.(i) record)
-  in
-  let rid =
-    if t.npages = 0 then None
-    else
-      match try_page (t.npages - 1) with
-      | Some _ as r -> r
-      | None -> if t.npages >= 2 then try_page (t.npages - 2) else None
-  in
-  let rid =
-    match rid with
-    | Some r -> r
-    | None -> (
-        match try_page (add_page t) with
-        | Some r -> r
-        | None -> invalid_arg "Heap.insert: record exceeds page capacity")
-  in
+  if t.n = Array.length t.slots then begin
+    let bigger = Array.make (max 16 (2 * t.n)) tombstone in
+    Array.blit t.slots 0 bigger 0 t.n;
+    t.slots <- bigger
+  end;
+  let rid = t.n in
+  t.slots.(rid) <- row;
+  t.n <- rid + 1;
   t.live <- t.live + 1;
   rid
 
-let get t rid = if valid t rid then Page.get t.pages.(rid.page) rid.slot else None
+let get t rid = if live_slot t rid then Some t.slots.(rid) else None
 
 let delete t rid =
-  if valid t rid && Page.delete t.pages.(rid.page) rid.slot then begin
-    Obs.add c_deletes 1;
-    t.live <- t.live - 1;
-    true
-  end
-  else false
+  live_slot t rid
+  && begin
+       Obs.add c_deletes 1;
+       t.slots.(rid) <- tombstone;
+       t.live <- t.live - 1;
+       true
+     end
 
-let update t rid record =
-  if valid t rid && Page.update t.pages.(rid.page) rid.slot record then rid
-  else begin
-    ignore (delete t rid);
-    insert t record
-  end
+let update t rid row =
+  live_slot t rid
+  && begin
+       t.slots.(rid) <- row;
+       true
+     end
 
 let iter f t =
-  for i = 0 to t.npages - 1 do
-    Page.iter (fun slot record -> f { page = i; slot } record) t.pages.(i)
+  for rid = 0 to t.n - 1 do
+    let row = t.slots.(rid) in
+    if row != tombstone then f rid row
   done
 
 let fold f t init =
   let acc = ref init in
-  iter (fun rid record -> acc := f rid record !acc) t;
+  iter (fun rid row -> acc := f rid row !acc) t;
   !acc
 
 let record_count t = t.live
-let page_count t = t.npages

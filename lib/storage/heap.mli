@@ -1,28 +1,34 @@
-(** Heap files: an append-friendly sequence of slotted pages addressed by
-    record ids. Pages live decoded in memory; there is no page cache. *)
+(** Heap files: one growable array of row slots addressed by record ids.
+    Rows are decoded value arrays, stored as given and handed out
+    without a copy; the caller ({!Table}) owns their immutability. *)
 
 type t
 
-type rid = { page : int; slot : int }
-(** A record's physical address. *)
+type rid = int
+(** A row's slot index. Stable for the row's lifetime: deleted slots are
+    never reused and updates replace in place. *)
 
 val create : unit -> t
 
-val insert : t -> bytes -> rid
-(** Appends into the last page with room (first-fit over the tail), or a
-    new page. *)
+val copy : t -> t
+(** A second heap with its own slot array over the same (immutable)
+    rows: O(slots), and writes to either side stay private to it. *)
 
-val get : t -> rid -> bytes option
+val insert : t -> Dtype.value array -> rid
+(** Appends a new slot. *)
+
+val get : t -> rid -> Dtype.value array option
+(** [None] for deleted or out-of-range rids. *)
+
 val delete : t -> rid -> bool
+(** False when the rid was already deleted or out of range. *)
 
-val update : t -> rid -> bytes -> rid
-(** In-place when the page can hold it; otherwise delete + reinsert,
-    returning the (possibly new) rid. *)
+val update : t -> rid -> Dtype.value array -> bool
+(** Replace a live row in place; false (and no change) otherwise. *)
 
-val iter : (rid -> bytes -> unit) -> t -> unit
-(** Live records in physical order. *)
+val iter : (rid -> Dtype.value array -> unit) -> t -> unit
+(** Live rows in rid order. *)
 
-val fold : (rid -> bytes -> 'a -> 'a) -> t -> 'a -> 'a
+val fold : (rid -> Dtype.value array -> 'a -> 'a) -> t -> 'a -> 'a
 
 val record_count : t -> int
-val page_count : t -> int

@@ -7,10 +7,13 @@ let c_genomic_searches = Obs.counter "storage.table.genomic_searches"
 type t = {
   name : string;
   schema : Schema.t;
-  heap : Heap.t;
-  indexes : (string, Btree.t) Hashtbl.t; (* lower-case column name -> index *)
-  genomic : (string, int * Text_index.t) Hashtbl.t;
+  mutable heap : Heap.t;
+  mutable indexes : (string, Btree.t) Hashtbl.t; (* lower-case column name -> index *)
+  mutable genomic : (string, int * Text_index.t) Hashtbl.t;
       (* lower-case column name -> (column position, k-mer postings) *)
+  mutable shared : bool;
+      (* heap and indexes may belong to another handle too; [own]
+         copies them before this handle's first write *)
   mutable pending_genomic : (string * int) list;
       (* (column, k) specs restored from an image, awaiting a UDT
          registry to backfill; see [rebuild_genomic_indexes] *)
@@ -38,7 +41,7 @@ and histogram = {
 
 let create ~name schema =
   { name; schema; heap = Heap.create (); indexes = Hashtbl.create 4;
-    genomic = Hashtbl.create 2; pending_genomic = []; stats = None;
+    genomic = Hashtbl.create 2; shared = false; pending_genomic = []; stats = None;
     data_version = 0; schema_version = 0 }
 
 let name t = t.name
@@ -47,6 +50,27 @@ let data_version t = t.data_version
 let schema_version t = t.schema_version
 let touch_data t = t.data_version <- t.data_version + 1
 let touch_schema t = t.schema_version <- t.schema_version + 1
+
+(* Rows are immutable once stored, so two handles may share a heap and
+   its indexes; the first write through a shared handle gives it
+   private copies. Statistics and pending genomic specs are replaced
+   wholesale, never mutated, so they need no copy. *)
+let share t =
+  t.shared <- true;
+  { t with shared = true }
+
+let own t =
+  if t.shared then begin
+    let copy_all copy tbl =
+      let tbl = Hashtbl.copy tbl in
+      Hashtbl.filter_map_inplace (fun _ v -> Some (copy v)) tbl;
+      tbl
+    in
+    t.heap <- Heap.copy t.heap;
+    t.indexes <- copy_all Btree.copy t.indexes;
+    t.genomic <- copy_all (fun (i, gidx) -> (i, Text_index.copy gidx)) t.genomic;
+    t.shared <- false
+  end
 
 let index_updates t row f =
   Hashtbl.iter
@@ -68,7 +92,9 @@ let insert t row =
   match Schema.validate_row t.schema row with
   | Error _ as e -> e
   | Ok () ->
-      let rid = Heap.insert t.heap (Dtype.encode_row row) in
+      own t;
+      let row = Array.copy row in
+      let rid = Heap.insert t.heap row in
       index_updates t row (fun idx key -> Btree.insert idx key rid);
       genomic_updates t rid row Text_index.add;
       touch_data t;
@@ -79,12 +105,13 @@ let insert_exn t row =
   | Ok rid -> rid
   | Error msg -> invalid_arg (Printf.sprintf "Table.insert_exn (%s): %s" t.name msg)
 
-let get t rid = Option.map Dtype.decode_row (Heap.get t.heap rid)
+let get t rid = Heap.get t.heap rid
 
 let delete t rid =
   match get t rid with
   | None -> false
   | Some row ->
+      own t;
       index_updates t row (fun idx key -> ignore (Btree.remove idx key rid));
       genomic_updates t rid row Text_index.remove;
       let ok = Heap.delete t.heap rid in
@@ -98,26 +125,26 @@ let update t rid row =
       match get t rid with
       | None -> Error "no such record"
       | Some old_row ->
+          own t;
+          let row = Array.copy row in
           index_updates t old_row (fun idx key -> ignore (Btree.remove idx key rid));
           genomic_updates t rid old_row Text_index.remove;
-          let rid' = Heap.update t.heap rid (Dtype.encode_row row) in
-          index_updates t row (fun idx key -> Btree.insert idx key rid');
-          genomic_updates t rid' row Text_index.add;
+          ignore (Heap.update t.heap rid row : bool);
+          index_updates t row (fun idx key -> Btree.insert idx key rid);
+          genomic_updates t rid row Text_index.add;
           touch_data t;
-          Ok rid')
+          Ok rid)
 
 let scan t f =
   Heap.iter
-    (fun rid bytes ->
+    (fun rid row ->
       Obs.add c_rows_scanned 1;
-      f rid (Dtype.decode_row bytes))
+      f rid row)
     t.heap
 
-let fold t ~init ~f =
-  Heap.fold (fun rid bytes acc -> f acc rid (Dtype.decode_row bytes)) t.heap init
+let fold t ~init ~f = Heap.fold (fun rid row acc -> f acc rid row) t.heap init
 
 let row_count t = Heap.record_count t.heap
-let page_count t = Heap.page_count t.heap
 
 let create_index t ~column =
   let col = String.lowercase_ascii column in
@@ -127,6 +154,7 @@ let create_index t ~column =
       if Hashtbl.mem t.indexes col then
         Error (Printf.sprintf "index on %s.%s already exists" t.name column)
       else begin
+        own t;
         let idx = Btree.create () in
         scan t (fun rid row -> Btree.insert idx row.(i) rid);
         Hashtbl.add t.indexes col idx;
@@ -275,6 +303,7 @@ let create_genomic_index ?k t ~column ~registry =
                       (Printf.sprintf "UDT %s does not support substring search"
                          type_name)
                 | Some support ->
+                    own t;
                     let gidx = Text_index.create ?k support in
                     scan t (fun rid row ->
                         match row.(i) with
@@ -319,28 +348,6 @@ let rebuild_genomic_indexes t ~registry =
           | Ok () -> false
           | Error _ -> true (* e.g. UDT not registered yet: stay pending *))
       t.pending_genomic
-
-(* Carry [src]'s built genomic indexes over to a freshly-cloned [dst]
-   copy-on-write instead of leaving them pending for a full rebuild at
-   attach time. Text_index postings store [Heap.rid]s, so sharing is
-   only sound when both heaps assign identical rids in scan order —
-   true for a serialize/parse clone of a table with no tombstones
-   (re-insertion into a fresh heap is sequential, deletes leave holes
-   the clone compacts away). On any mismatch the specs stay pending and
-   the attach-time rebuild proceeds as before. *)
-let share_genomic_indexes ~src ~dst =
-  if Hashtbl.length src.genomic > 0 then begin
-    let rids t = List.rev (Heap.fold (fun rid _ acc -> rid :: acc) t.heap []) in
-    if rids src = rids dst then
-      Hashtbl.iter
-        (fun col (i, gidx) ->
-          if not (Hashtbl.mem dst.genomic col) then begin
-            Hashtbl.add dst.genomic col (i, Text_index.cow_clone gidx);
-            dst.pending_genomic <-
-              List.filter (fun (c, _) -> c <> col) dst.pending_genomic
-          end)
-        src.genomic
-  end
 
 let has_genomic_index t ~column =
   Hashtbl.mem t.genomic (String.lowercase_ascii column)

@@ -1,4 +1,8 @@
-(** Tables: a schema, a heap file, and optional B-tree secondary indexes. *)
+(** Tables: a schema, a heap file, and optional B-tree secondary indexes.
+
+    Stored rows are immutable. {!get}, {!scan} and {!fold} hand out the
+    stored array itself, shared with the table and with every {!share}d
+    handle: callers must never mutate a returned row. *)
 
 type t
 
@@ -7,25 +11,36 @@ val create : name:string -> Schema.t -> t
 val name : t -> string
 val schema : t -> Schema.t
 
+val share : t -> t
+(** A second handle on the same heap, B-trees and genomic indexes, in
+    O(1). Both handles are marked shared; the first mutation through
+    either ({!insert}, {!delete}, {!update}, {!create_index},
+    {!create_genomic_index}) first copies that handle's heap spine and
+    indexes, so neither handle ever observes the other's writes.
+    Statistics, pending genomic specs and version counters carry
+    over. *)
+
 val insert : t -> Dtype.value array -> (Heap.rid, string) result
-(** Validates against the schema, stores the encoded row, and maintains
-    every index. *)
+(** Validates against the schema, stores a copy of the row, and
+    maintains every index. *)
 
 val insert_exn : t -> Dtype.value array -> Heap.rid
 
 val get : t -> Heap.rid -> Dtype.value array option
+(** The stored row (shared; do not mutate). *)
 
 val delete : t -> Heap.rid -> bool
 
 val update : t -> Heap.rid -> Dtype.value array -> (Heap.rid, string) result
+(** Replaces the row in place with a copy of the new one; the rid never
+    changes. *)
 
 val scan : t -> (Heap.rid -> Dtype.value array -> unit) -> unit
-(** Full scan in physical order. *)
+(** Full scan in rid order. Rows are shared; do not mutate. *)
 
 val fold : t -> init:'a -> f:('a -> Heap.rid -> Dtype.value array -> 'a) -> 'a
 
 val row_count : t -> int
-val page_count : t -> int
 
 (** {1 Version counters — cache-coherence tokens}
 
@@ -95,7 +110,7 @@ val stats_snapshot : t -> (string * column_stats) list
     {!analyze}. Used by image persistence. *)
 
 val set_stats : t -> (string * column_stats) list -> unit
-(** Install statistics wholesale (image load / clone); [[]] is a no-op.
+(** Install statistics wholesale (image load); [[]] is a no-op.
     Bumps {!schema_version}. *)
 
 (** {1 Genomic (substring) indexes — paper section 6.5}
@@ -127,15 +142,6 @@ val rebuild_genomic_indexes : t -> registry:Udt.t -> unit
     calls this when it attaches). Specs whose UDT is still unregistered
     stay pending; successfully built or already-live specs are
     cleared. *)
-
-val share_genomic_indexes : src:t -> dst:t -> unit
-(** Install copy-on-write clones of [src]'s built genomic indexes into
-    [dst] (a fresh clone of [src]), clearing the matching pending specs
-    so the attach-time rebuild is skipped. Only applies when both heaps
-    assign identical record ids in scan order (postings carry rids);
-    otherwise a no-op and [dst]'s specs stay pending. Each side
-    deep-copies the shared postings before its first write, so the
-    handles never observe each other's mutations. *)
 
 val genomic_k : t -> column:string -> int option
 (** The k-mer width of the column's genomic index, when one exists. The

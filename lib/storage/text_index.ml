@@ -6,27 +6,14 @@ let c_candidates = Obs.counter "storage.text_index.candidates"
 let c_verified = Obs.counter "storage.text_index.verified"
 let c_seed_candidates = Obs.counter "storage.text_index.seed_candidates"
 let c_exact_verifies = Obs.counter "storage.text_index.exact_verifies"
-let c_cow_clones = Obs.counter "storage.text_index.cow_clones"
-let c_cow_breaks = Obs.counter "storage.text_index.cow_breaks"
-
-(* The immutable-until-written segment shared between a clone and its
-   original: postings, always-candidates and text lengths. A handle that
-   doesn't own its store deep-copies it before the first mutation. *)
-type store = {
-  postings : (int, Heap.rid list ref) Hashtbl.t; (* packed k-mer -> rids *)
-  always : (Heap.rid, unit) Hashtbl.t;           (* ambiguous payloads *)
-  lengths : (Heap.rid, int) Hashtbl.t;           (* index-text lengths *)
-}
-
 type t = {
   k : int;
   support : Udt.search_support;
-  mutable store : store;
-  mutable owns : bool;
-      (* false while [store] may be shared with another handle *)
+  postings : (int, Heap.rid list ref) Hashtbl.t; (* packed k-mer -> rids *)
+  always : (Heap.rid, unit) Hashtbl.t;           (* ambiguous payloads *)
+  lengths : (Heap.rid, int) Hashtbl.t;           (* index-text lengths *)
   sa_cache : (Heap.rid, Suffix_array.t) Hashtbl.t;
-      (* lazily-built suffix arrays over long record texts; per-handle
-         (mutated on the read path) so it is never shared *)
+      (* lazily-built suffix arrays over long record texts *)
   mutable count : int;
 }
 
@@ -37,41 +24,25 @@ let sa_cache_cap = 64
 
 let create ?(k = 8) support =
   if k < 2 || k > 31 then invalid_arg "Text_index.create: k must be in [2, 31]";
-  { k; support;
-    store =
-      { postings = Hashtbl.create 1024; always = Hashtbl.create 16;
-        lengths = Hashtbl.create 64 };
-    owns = true; sa_cache = Hashtbl.create 8; count = 0 }
+  { k; support; postings = Hashtbl.create 1024; always = Hashtbl.create 16;
+    lengths = Hashtbl.create 64; sa_cache = Hashtbl.create 8; count = 0 }
 
-(* Share the postings store with a new handle. Both handles drop
-   ownership: whichever mutates first pays for its own private copy. *)
-let cow_clone t =
-  t.owns <- false;
-  Obs.add c_cow_clones 1;
-  { t with owns = false; sa_cache = Hashtbl.create 8 }
-
-let copy_store s =
-  let postings = Hashtbl.create (max 1024 (Hashtbl.length s.postings)) in
-  Hashtbl.iter (fun kmer cell -> Hashtbl.add postings kmer (ref !cell)) s.postings;
-  { postings; always = Hashtbl.copy s.always; lengths = Hashtbl.copy s.lengths }
-
-let ensure_private t =
-  if not t.owns then begin
-    t.store <- copy_store t.store;
-    t.owns <- true;
-    Obs.add c_cow_breaks 1
-  end
+let copy t =
+  let postings = Hashtbl.create (max 1024 (Hashtbl.length t.postings)) in
+  Hashtbl.iter (fun kmer cell -> Hashtbl.add postings kmer (ref !cell)) t.postings;
+  { t with postings; always = Hashtbl.copy t.always;
+    lengths = Hashtbl.copy t.lengths; sa_cache = Hashtbl.copy t.sa_cache }
 
 let k t = t.k
 let indexed_records t = t.count
-let distinct_kmers t = Hashtbl.length t.store.postings
+let distinct_kmers t = Hashtbl.length t.postings
 
 let mean_len t =
-  let n = Hashtbl.length t.store.lengths in
+  let n = Hashtbl.length t.lengths in
   if n = 0 then None
   else
     Some
-      (float_of_int (Hashtbl.fold (fun _ l acc -> acc + l) t.store.lengths 0)
+      (float_of_int (Hashtbl.fold (fun _ l acc -> acc + l) t.lengths 0)
       /. float_of_int n)
 
 let code = function
@@ -105,28 +76,26 @@ let kmers_of t text =
   (seen, !saw_other)
 
 let add t rid payload =
-  ensure_private t;
   t.count <- t.count + 1;
   Hashtbl.remove t.sa_cache rid;
   match t.support.Udt.index_text payload with
-  | `Always_candidate -> Hashtbl.replace t.store.always rid ()
+  | `Always_candidate -> Hashtbl.replace t.always rid ()
   | `Text text ->
-      Hashtbl.replace t.store.lengths rid (String.length text);
+      Hashtbl.replace t.lengths rid (String.length text);
       let seen, saw_other = kmers_of t text in
       (* ambiguity letters make exact k-mers incomplete for this record *)
-      if saw_other then Hashtbl.replace t.store.always rid ();
+      if saw_other then Hashtbl.replace t.always rid ();
       Hashtbl.iter
         (fun kmer () ->
-          match Hashtbl.find_opt t.store.postings kmer with
+          match Hashtbl.find_opt t.postings kmer with
           | Some cell -> cell := rid :: !cell
-          | None -> Hashtbl.add t.store.postings kmer (ref [ rid ]))
+          | None -> Hashtbl.add t.postings kmer (ref [ rid ]))
         seen
 
 let remove t rid payload =
-  ensure_private t;
   t.count <- max 0 (t.count - 1);
-  Hashtbl.remove t.store.always rid;
-  Hashtbl.remove t.store.lengths rid;
+  Hashtbl.remove t.always rid;
+  Hashtbl.remove t.lengths rid;
   Hashtbl.remove t.sa_cache rid;
   match t.support.Udt.index_text payload with
   | `Always_candidate -> ()
@@ -134,7 +103,7 @@ let remove t rid payload =
       let seen, _ = kmers_of t text in
       Hashtbl.iter
         (fun kmer () ->
-          match Hashtbl.find_opt t.store.postings kmer with
+          match Hashtbl.find_opt t.postings kmer with
           | Some cell -> cell := List.filter (fun r -> r <> rid) !cell
           | None -> ())
         seen
@@ -156,12 +125,12 @@ let candidates t ~pattern =
   | None -> None
   | Some kmer ->
       let hits =
-        match Hashtbl.find_opt t.store.postings kmer with
+        match Hashtbl.find_opt t.postings kmer with
         | Some cell -> !cell
         | None -> []
       in
       let with_always =
-        Hashtbl.fold (fun rid () acc -> rid :: acc) t.store.always hits
+        Hashtbl.fold (fun rid () acc -> rid :: acc) t.always hits
       in
       let out = List.sort_uniq compare with_always in
       Obs.add c_candidates (List.length out);
@@ -185,16 +154,16 @@ let seed_candidates t ~pattern ~min_len =
     for i = 0 to n - 1 do
       hash := ((!hash lsl 2) lor code pattern.[i]) land mask;
       if i >= t.k - 1 then
-        match Hashtbl.find_opt t.store.postings !hash with
+        match Hashtbl.find_opt t.postings !hash with
         | Some cell -> List.iter (fun rid -> Hashtbl.replace acc rid ()) !cell
         | None -> ()
     done;
-    Hashtbl.iter (fun rid () -> Hashtbl.replace acc rid ()) t.store.always;
+    Hashtbl.iter (fun rid () -> Hashtbl.replace acc rid ()) t.always;
     (* rows shorter than [min_len] fall below the guaranteed shared-run
        length, so the k-mer filter cannot rule them out *)
     Hashtbl.iter
       (fun rid len -> if len < min_len then Hashtbl.replace acc rid ())
-      t.store.lengths;
+      t.lengths;
     let out = Hashtbl.fold (fun rid () l -> rid :: l) acc [] |> List.sort compare in
     Obs.add c_seed_candidates (List.length out);
     Some out
@@ -234,7 +203,7 @@ let search t ~pattern ~payload_of =
             match payload_of rid with
             | None -> false
             | Some payload ->
-                if exact_ok && not (Hashtbl.mem t.store.always rid) then
+                if exact_ok && not (Hashtbl.mem t.always rid) then
                   match t.support.Udt.index_text payload with
                   | `Text text ->
                       exact_contains t rid (String.uppercase_ascii text)

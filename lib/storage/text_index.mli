@@ -12,14 +12,9 @@ type t
 val create : ?k:int -> Udt.search_support -> t
 (** Default k = 8. Raises [Invalid_argument] when k is outside [2, 31]. *)
 
-val cow_clone : t -> t
-(** A new handle sharing this index's posting store copy-on-write. Reads
-    on either handle keep using the shared segment; the first [add] or
-    [remove] on a handle deep-copies the store for that handle only, so
-    neither side ever observes the other's writes. The clone's record
-    identities ([Heap.rid]s) are the original's — only valid when the
-    cloned table's heap assigns the same rids (see
-    [Table.share_genomic_indexes]). *)
+val copy : t -> t
+(** An independent index with the same postings: [add] and [remove] on
+    either side are invisible to the other. *)
 
 val k : t -> int
 

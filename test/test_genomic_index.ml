@@ -25,28 +25,26 @@ let dna_support () =
   ignore registry;
   (Option.get (Udt.find_type (Db.udts db) "dna")).Udt.search |> Option.get
 
-let rid i = { Genalg_storage.Heap.page = i; slot = 0 }
-
 (* ---- Text_index directly -------------------------------------------- *)
 
 let test_text_index_basics () =
   let idx = Text_index.create ~k:4 (dna_support ()) in
-  Text_index.add idx (rid 1) (dna_payload "AAACGTACGTAAA");
-  Text_index.add idx (rid 2) (dna_payload "GGGGGGGGGGGG");
-  Text_index.add idx (rid 3) (dna_payload "TTACGTTT");
+  Text_index.add idx 1 (dna_payload "AAACGTACGTAAA");
+  Text_index.add idx 2 (dna_payload "GGGGGGGGGGGG");
+  Text_index.add idx 3 (dna_payload "TTACGTTT");
   let payloads =
-    [ (rid 1, dna_payload "AAACGTACGTAAA"); (rid 2, dna_payload "GGGGGGGGGGGG");
-      (rid 3, dna_payload "TTACGTTT") ]
+    [ (1, dna_payload "AAACGTACGTAAA"); (2, dna_payload "GGGGGGGGGGGG");
+      (3, dna_payload "TTACGTTT") ]
   in
   let payload_of r = List.assoc_opt r payloads in
   (match Text_index.search idx ~pattern:"ACGT" ~payload_of with
   | Some hits ->
       check (Alcotest.list Alcotest.int) "rows 1 and 3"
         [ 1; 3 ]
-        (List.sort Int.compare (List.map (fun r -> r.Genalg_storage.Heap.page) hits))
+        (List.sort Int.compare hits)
   | None -> Alcotest.fail "index should serve a 4-letter pattern");
   (match Text_index.search idx ~pattern:"GGGG" ~payload_of with
-  | Some [ r ] -> check Alcotest.int "row 2" 2 r.Genalg_storage.Heap.page
+  | Some [ r ] -> check Alcotest.int "row 2" 2 r
   | _ -> Alcotest.fail "GGGG should hit row 2");
   (* shorter than k: cannot serve *)
   check Alcotest.bool "short pattern unsupported" true
@@ -55,8 +53,8 @@ let test_text_index_basics () =
 let test_text_index_remove () =
   let idx = Text_index.create ~k:4 (dna_support ()) in
   let p = dna_payload "ACGTACGT" in
-  Text_index.add idx (rid 1) p;
-  Text_index.remove idx (rid 1) p;
+  Text_index.add idx 1 p;
+  Text_index.remove idx 1 p;
   match Text_index.search idx ~pattern:"ACGT" ~payload_of:(fun _ -> Some p) with
   | Some [] -> ()
   | _ -> Alcotest.fail "removed record still matches"
@@ -65,12 +63,12 @@ let test_text_index_ambiguous_rows () =
   (* a row with an N is an always-candidate: IUPAC matching stays exact *)
   let idx = Text_index.create ~k:4 (dna_support ()) in
   let amb = dna_payload "NNNNNNNN" in
-  Text_index.add idx (rid 9) amb;
-  let payload_of r = if r = rid 9 then Some amb else None in
+  Text_index.add idx 9 amb;
+  let payload_of r = if r = 9 then Some amb else None in
   match Text_index.search idx ~pattern:"ACGT" ~payload_of with
   | Some [ r ] ->
       (* N matches any base, so the all-N row genuinely contains ACGT *)
-      check Alcotest.int "ambiguous row matched" 9 r.Genalg_storage.Heap.page
+      check Alcotest.int "ambiguous row matched" 9 r
   | other ->
       Alcotest.failf "expected the ambiguous row to match, got %s"
         (match other with None -> "None" | Some l -> string_of_int (List.length l))

@@ -301,11 +301,10 @@ let test_genomic_index_survives_save_load () =
         (contains (explain_text db2 q) "genomic seed seq");
       check Alcotest.bool "reloaded results identical" true
         (before = sorted_rows db2 q);
-      (* clone goes through the same serializer: specs carry, attach
-         materializes them (the serve layer re-attaches per snapshot) *)
+      (* a clone shares the built index and the UDT registry, so it
+         plans the seed path with no attach *)
       let db3 = Db.clone db in
-      Genalg_adapter.Adapter.attach db3 Genalg_core.Builtin.default;
-      check Alcotest.bool "clone + attach keeps the seed path" true
+      check Alcotest.bool "clone keeps the seed path" true
         (contains (explain_text db3 q) "genomic seed seq"))
 
 let nums_fixture n =

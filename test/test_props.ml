@@ -187,70 +187,212 @@ let index_props =
 
 type heap_op = H_ins of int | H_del of int | H_upd of int * int
 
-(* Record sizes from tiny to a full page payload, so inserts spill onto new
-   pages and growing updates outgrow their slot and relocate. *)
 let heap_ops_gen =
   Q.Gen.(
-    let max_payload = Genalg_storage.Page.page_size - 16 in
-    let size =
-      frequency
-        [ (6, int_bound 300); (2, int_range 300 3000);
-          (1, int_range (max_payload - 1000) max_payload) ]
-    in
-    let ops =
-      list_size (int_bound 120)
-        (frequency
-           [ (5, map (fun n -> H_ins n) size);
-             (2, map (fun i -> H_del i) nat);
-             (3, map2 (fun i n -> H_upd (i, n)) nat size) ])
-    in
-    (* two records that cannot share a page: every case spans pages *)
-    map (fun ops -> H_ins 5000 :: H_ins 5000 :: ops) ops)
+    list_size (int_bound 200)
+      (frequency
+         [ (5, map (fun n -> H_ins n) (int_bound 1000));
+           (2, map (fun i -> H_del i) nat);
+           (3, map2 (fun i n -> H_upd (i, n)) nat (int_bound 1000)) ]))
 
 let heap_model_agrees ops =
   let module Heap = Genalg_storage.Heap in
+  let module D = Genalg_storage.Dtype in
   let h = Heap.create () in
-  let model = ref [] (* live (rid, payload) *) and dead = ref [] in
-  let fresh = ref 0 in
-  let payload n =
-    incr fresh;
-    let k = !fresh in
-    Bytes.init n (fun j -> Char.chr (65 + ((k * 7) + j) mod 26))
-  in
+  let model = ref [] (* live (rid, row) *) and dead = ref [] in
+  (* rows of varying arity, the empty one included *)
+  let row n = Array.init (n mod 4) (fun j -> if j = 0 then D.Int n else D.Str (string_of_int j)) in
   let ok = ref true in
   let nth i = List.nth !model (i mod List.length !model) in
   List.iter
     (fun op ->
       match op with
       | H_ins n ->
-          let b = payload n in
-          model := (Heap.insert h b, b) :: !model
+          let r = row n in
+          model := (Heap.insert h r, r) :: !model
       | H_del _ | H_upd _ when !model = [] -> ()
       | H_del i ->
           let rid, _ = nth i in
           if not (Heap.delete h rid) then ok := false;
           if Heap.delete h rid then ok := false;
+          if Heap.update h rid (row 0) then ok := false;
           model := List.remove_assoc rid !model;
           dead := rid :: !dead
       | H_upd (i, n) ->
           let rid, _ = nth i in
-          let b = payload n in
-          let rid' = Heap.update h rid b in
-          model := (rid', b) :: List.remove_assoc rid !model;
-          if rid' <> rid then dead := rid :: !dead)
+          let r = row n in
+          if not (Heap.update h rid r) then ok := false;
+          model := (rid, r) :: List.remove_assoc rid !model)
     ops;
   let live = List.sort compare !model in
-  let scanned = List.rev (Heap.fold (fun rid b acc -> (rid, b) :: acc) h []) in
+  let scanned = List.rev (Heap.fold (fun rid r acc -> (rid, r) :: acc) h []) in
   !ok
-  && List.for_all (fun (rid, b) -> Heap.get h rid = Some b) live
+  && List.for_all (fun (rid, r) -> Heap.get h rid = Some r) live
   && List.for_all (fun rid -> Heap.get h rid = None) !dead
   && scanned = live
   && Heap.record_count h = List.length live
-  && Heap.page_count h > 1
+
+(* Clone isolation: a database is cloned, then both sides take random
+   writes -- rows, CREATE INDEX, CREATE GENOMIC INDEX and ANALYZE. Each
+   side must match its own model through a full scan, B-tree point and
+   range lookups, genomic [contains] and its statistics, whatever the
+   other side did. *)
+
+type clone_op =
+  | C_ins of int * int * int (* side, v, seq *)
+  | C_del of int * int (* side, nth live row *)
+  | C_upd of int * int * int * int (* side, nth live row, v, seq *)
+  | C_index of int
+  | C_genomic of int
+  | C_analyze of int
+
+let clone_seqs = [| "ACGTACGTAA"; "TTTTGGGGCC"; "GATTACAGAT"; "CCCCACGTTT"; "AAAAAAAA" |]
+let clone_patterns = [ "ACGT"; "GATT"; "TTTT"; "CCCC"; "ACGTA"; "AAAA" ]
+
+let clone_case_gen =
+  Q.Gen.(
+    let side = int_bound 1 and v = int_bound 9 and sq = int_bound 4 in
+    let op =
+      frequency
+        [
+          (5, map3 (fun s v q -> C_ins (s, v, q)) side v sq);
+          (2, map2 (fun s i -> C_del (s, i)) side nat);
+          (3, map2 (fun (s, i) (v, q) -> C_upd (s, i, v, q)) (pair side nat) (pair v sq));
+          (1, map (fun s -> C_index s) side);
+          (1, map (fun s -> C_genomic s) side);
+          (1, map (fun s -> C_analyze s) side);
+        ]
+    in
+    tup5 (list_size (int_bound 20) (pair v sq)) bool bool bool
+      (list_size (int_bound 40) op))
+
+let clone_isolation (initial, pre_index, pre_genomic, pre_analyze, ops) =
+  let module Db = Genalg_storage.Database in
+  let module Table = Genalg_storage.Table in
+  let module Schema = Genalg_storage.Schema in
+  let module D = Genalg_storage.Dtype in
+  let db = Db.create () in
+  Genalg_adapter.Adapter.attach db Genalg_core.Builtin.default;
+  let schema =
+    Schema.make_exn
+      [
+        { Schema.name = "id"; dtype = D.TInt; nullable = false };
+        { Schema.name = "v"; dtype = D.TInt; nullable = false };
+        { Schema.name = "seq"; dtype = D.TOpaque "dna"; nullable = false };
+      ]
+  in
+  ignore (Db.create_table db ~actor:Db.loader_actor ~space:Db.Public ~name:"g" schema);
+  let table db = Option.get (Db.find_table db ~space:Db.Public "g") in
+  let next_id = ref 0 in
+  let row v q =
+    incr next_id;
+    [| D.Int !next_id; D.Int v;
+       D.Opaque ("dna", Sequence.to_bytes (Sequence.dna clone_seqs.(q))) |]
+  in
+  (* per side: live (rid, row, seq) newest first, and its DDL/ANALYZE state *)
+  let rows = [| []; [] |] and v_index = [| false; false |] in
+  let genomic = [| pre_genomic; pre_genomic |] and analyzed = [| None; None |] in
+  let ok = ref true in
+  let expect b = if not b then ok := false in
+  List.iter
+    (fun (v, q) ->
+      let r = row v q in
+      rows.(0) <- (Table.insert_exn (table db) r, r, q) :: rows.(0))
+    initial;
+  if pre_index then expect (Table.create_index (table db) ~column:"id" = Ok ());
+  if pre_genomic then
+    expect
+      (Table.create_genomic_index ~k:4 (table db) ~column:"seq"
+         ~registry:(Db.udts db) = Ok ());
+  if pre_analyze then begin
+    Table.analyze (table db);
+    analyzed.(0) <- Some (List.length initial)
+  end;
+  let dbs = [| db; Db.clone db |] in
+  rows.(1) <- rows.(0);
+  analyzed.(1) <- analyzed.(0);
+  let nth s i =
+    let live = rows.(s) in
+    List.nth live (i mod List.length live)
+  in
+  List.iter
+    (fun op ->
+      match op with
+      | C_ins (s, v, q) ->
+          let r = row v q in
+          rows.(s) <- (Table.insert_exn (table dbs.(s)) r, r, q) :: rows.(s)
+      | (C_del (s, _) | C_upd (s, _, _, _)) when rows.(s) = [] -> ()
+      | C_del (s, i) ->
+          let rid, _, _ = nth s i in
+          expect (Table.delete (table dbs.(s)) rid);
+          rows.(s) <- List.filter (fun (r, _, _) -> r <> rid) rows.(s)
+      | C_upd (s, i, v, q) ->
+          let rid, old, _ = nth s i in
+          let r = [| old.(0); D.Int v; (row v q).(2) |] in
+          expect (Table.update (table dbs.(s)) rid r = Ok rid);
+          rows.(s) <-
+            List.map (fun (r', o, q') -> if r' = rid then (rid, r, q) else (r', o, q')) rows.(s)
+      | C_index s ->
+          expect (Result.is_ok (Table.create_index (table dbs.(s)) ~column:"v") = not v_index.(s));
+          v_index.(s) <- true
+      | C_genomic s ->
+          expect
+            (Result.is_ok
+               (Table.create_genomic_index ~k:4 (table dbs.(s)) ~column:"seq"
+                  ~registry:(Db.udts dbs.(s)))
+            = not genomic.(s));
+          genomic.(s) <- true
+      | C_analyze s ->
+          Table.analyze (table dbs.(s));
+          analyzed.(s) <- Some (List.length rows.(s)))
+    ops;
+  let sorted l = List.sort compare l in
+  let side_agrees s =
+    let t = table dbs.(s) and live = rows.(s) in
+    let rids_where f =
+      sorted (List.filter_map (fun (r, row, q) -> if f row q then Some r else None) live)
+    in
+    let scanned =
+      List.rev (Table.fold t ~init:[] ~f:(fun acc rid row -> (rid, row) :: acc))
+    in
+    let lookups column col ~keys =
+      List.for_all
+        (fun k ->
+          Option.map sorted (Table.index_lookup t ~column (D.Int k))
+          = Some (rids_where (fun row _ -> row.(col) = D.Int k)))
+        keys
+    in
+    let contains text p = Genalg_seqindex.Search.naive_find_all ~pattern:p text <> [] in
+    scanned = sorted (List.map (fun (r, row, _) -> (r, row)) live)
+    && Table.row_count t = List.length live
+    && Table.has_index t ~column:"id" = pre_index
+    && (not pre_index || lookups "id" 0 ~keys:(List.init (!next_id + 1) Fun.id))
+    && Table.has_index t ~column:"v" = v_index.(s)
+    && (not v_index.(s)
+       || lookups "v" 1 ~keys:(List.init 10 Fun.id)
+          && Option.map sorted
+               (Table.index_range t ~column:"v" ~lo:(D.Int 3) ~hi:(D.Int 6) ())
+             = Some (rids_where (fun row _ ->
+                   row.(1) >= D.Int 3 && row.(1) <= D.Int 6)))
+    && List.for_all
+         (fun p ->
+           match Table.genomic_search t ~column:"seq" ~pattern:p with
+           | `Hits hits ->
+               genomic.(s) && sorted hits = rids_where (fun _ q -> contains clone_seqs.(q) p)
+           | `No_index -> not genomic.(s)
+           | `Unsupported_pattern -> false)
+         clone_patterns
+    && Option.map
+         (fun (cs : Table.column_stats) -> cs.Table.rows)
+         (Table.column_stats t ~column:"v")
+       = analyzed.(s)
+  in
+  !ok && side_agrees 0 && side_agrees 1
 
 let storage_props =
   [
     qtest "heap agrees with an association-list model" heap_ops_gen heap_model_agrees;
+    qtest "clone and original stay isolated under writes" clone_case_gen clone_isolation;
     qtest "btree agrees with an association-list model"
       Q.Gen.(list_size (int_bound 300) (pair (int_bound 50) (int_bound 1000)))
       (fun pairs ->
@@ -260,7 +402,7 @@ let storage_props =
         let model = Hashtbl.create 16 in
         List.iteri
           (fun i (k, _) ->
-            let rid = { Genalg_storage.Heap.page = i; slot = 0 } in
+            let rid = i in
             Bt.insert t (D.Int k) rid;
             Hashtbl.replace model k
               (rid :: Option.value (Hashtbl.find_opt model k) ~default:[]))

@@ -513,6 +513,185 @@ let test_concurrent_clients_interleave () =
           | Error m -> Alcotest.fail m)
         doms)
 
+(* ---- snapshot-isolation model ------------------------------------------ *)
+
+(* Two sessions run random interleavings of transaction control, writes
+   (inside a transaction and autocommit) and aggregate reads on two
+   tables. The reference is the committed state with a stamp per table
+   (the commit clock of its last change), plus each open transaction's
+   BEGIN clock and private view. It predicts every reply, including
+   which COMMITs lose: a transaction conflicts when a table it wrote
+   changed after its BEGIN (table-granular first-committer-wins). *)
+
+type si_op =
+  | Si_begin of int
+  | Si_commit of int
+  | Si_rollback of int
+  | Si_insert of int * int * int (* session, table, k *)
+  | Si_delete of int * int * int (* session, table, DELETE ... WHERE k = v *)
+  | Si_read of int * int
+
+type si_txn = {
+  begin_clock : int;
+  view : int list array;
+  written : bool array; (* a successful write statement ran here *)
+  changed : bool array; (* ... and it touched at least one row *)
+}
+
+let si_tables = [| "a"; "b" |]
+
+let si_gen =
+  QCheck2.Gen.(
+    let s = int_bound 1 and tb = int_bound 1 and k = int_bound 4 in
+    list_size (int_range 1 40)
+      (frequency
+         [
+           (2, map (fun s -> Si_begin s) s);
+           (2, map (fun s -> Si_commit s) s);
+           (1, map (fun s -> Si_rollback s) s);
+           (4, map3 (fun s t k -> Si_insert (s, t, k)) s tb k);
+           (2, map3 (fun s t k -> Si_delete (s, t, k)) s tb k);
+           (3, map2 (fun s t -> Si_read (s, t)) s tb);
+         ]))
+
+let si_print = function
+  | Si_begin s -> Printf.sprintf "%d:BEGIN" s
+  | Si_commit s -> Printf.sprintf "%d:COMMIT" s
+  | Si_rollback s -> Printf.sprintf "%d:ROLLBACK" s
+  | Si_insert (s, t, k) -> Printf.sprintf "%d:INSERT %s %d" s si_tables.(t) k
+  | Si_delete (s, t, k) -> Printf.sprintf "%d:DELETE %s %d" s si_tables.(t) k
+  | Si_read (s, t) -> Printf.sprintf "%d:READ %s" s si_tables.(t)
+
+(* The reply each op must get, rendered as a short string. *)
+let si_expected ops =
+  let committed = [| []; [] |] and stamp = [| 0; 0 |] and clock = ref 0 in
+  let txns = [| None; None |] in
+  let change t rows =
+    committed.(t) <- rows;
+    incr clock;
+    stamp.(t) <- !clock
+  in
+  let rows_of s t =
+    match txns.(s) with Some x -> x.view.(t) | None -> committed.(t)
+  in
+  let write s t rows affected =
+    (match txns.(s) with
+    | Some x ->
+        x.view.(t) <- rows;
+        x.written.(t) <- true;
+        if affected > 0 then x.changed.(t) <- true
+    | None -> if affected > 0 then change t rows);
+    Printf.sprintf "affected %d" affected
+  in
+  List.map
+    (function
+      | Si_begin s -> (
+          match txns.(s) with
+          | Some _ -> "TXN_STATE"
+          | None ->
+              txns.(s) <-
+                Some
+                  {
+                    begin_clock = !clock;
+                    view = Array.copy committed;
+                    written = [| false; false |];
+                    changed = [| false; false |];
+                  };
+              "ok")
+      | Si_rollback s -> (
+          match txns.(s) with
+          | None -> "TXN_STATE"
+          | Some _ ->
+              txns.(s) <- None;
+              "ok")
+      | Si_commit s -> (
+          match txns.(s) with
+          | None -> "TXN_STATE"
+          | Some x ->
+              txns.(s) <- None;
+              let conflict = ref false in
+              Array.iteri
+                (fun t w -> if w && stamp.(t) > x.begin_clock then conflict := true)
+                x.written;
+              if !conflict then "CONFLICT"
+              else begin
+                Array.iteri (fun t c -> if c then change t x.view.(t)) x.changed;
+                "ok"
+              end)
+      | Si_insert (s, t, k) -> write s t (k :: rows_of s t) 1
+      | Si_delete (s, t, k) ->
+          let rows = rows_of s t in
+          let kept = List.filter (fun r -> r <> k) rows in
+          write s t kept (List.length rows - List.length kept)
+      | Si_read (s, t) ->
+          let rows = rows_of s t in
+          Printf.sprintf "rows %d %s" (List.length rows)
+            (if rows = [] then "NULL" else string_of_int (List.fold_left ( + ) 0 rows)))
+    ops
+
+let si_actual clients ops =
+  let status = function
+    | Ok () -> "ok"
+    | Error m -> (
+        match String.index_opt m ':' with Some i -> String.sub m 0 i | None -> m)
+  in
+  let query s sql =
+    match Client.query clients.(s) sql with
+    | Ok (Protocol.Affected n) -> Printf.sprintf "affected %d" n
+    | Ok (Protocol.Rows { rows = [ [| Dtype.Int n; sum |] ]; _ }) ->
+        Printf.sprintf "rows %d %s" n
+          (match sum with
+          | Dtype.Int v -> string_of_int v
+          | Dtype.Null -> "NULL"
+          | v -> Dtype.value_to_display v)
+    | Ok (Protocol.Error_reply { message; _ }) -> "error " ^ message
+    | Ok _ -> "unexpected reply"
+    | Error m -> "transport " ^ m
+  in
+  List.map
+    (function
+      | Si_begin s -> status (Client.begin_ clients.(s))
+      | Si_commit s -> status (Client.commit clients.(s))
+      | Si_rollback s -> status (Client.rollback clients.(s))
+      | Si_insert (s, t, k) ->
+          query s (Printf.sprintf "INSERT INTO %s VALUES (%d)" si_tables.(t) k)
+      | Si_delete (s, t, k) ->
+          query s (Printf.sprintf "DELETE FROM %s WHERE k = %d" si_tables.(t) k)
+      | Si_read (s, t) ->
+          query s (Printf.sprintf "SELECT count(*), sum(k) FROM %s" si_tables.(t)))
+    ops
+
+let test_snapshot_isolation_model () =
+  with_server (fun ~socket ~db_path:_ ~server:_ ->
+      let clients =
+        Array.init 2 (fun _ -> ok (Client.connect ~actor:"u" ~socket ()))
+      in
+      Array.iter
+        (fun name ->
+          match Client.query clients.(0) ("CREATE TABLE " ^ name ^ " (k int)") with
+          | Ok (Protocol.Error_reply { message; _ }) | Error message ->
+              Alcotest.fail message
+          | Ok _ -> ())
+        si_tables;
+      let prop ops =
+        (* every case starts with no open transaction and empty tables *)
+        Array.iter (fun c -> ignore (Client.rollback c)) clients;
+        Array.iter
+          (fun name -> ignore (Client.query clients.(0) ("DELETE FROM " ^ name)))
+          si_tables;
+        let expected = si_expected ops and actual = si_actual clients ops in
+        if expected = actual then true
+        else
+          QCheck2.Test.fail_reportf "expected [%s]@ got [%s]"
+            (String.concat "; " expected) (String.concat "; " actual)
+      in
+      QCheck2.Test.check_exn
+        ~rand:(Random.State.make [| 18 |])
+        (QCheck2.Test.make ~count:150 ~name:"snapshot isolation model"
+           ~print:(fun ops -> String.concat "; " (List.map si_print ops))
+           si_gen prop);
+      Array.iter Client.close clients)
+
 let suites =
   [
     ( "serve protocol",
@@ -549,5 +728,7 @@ let suites =
           test_dirty_shutdown_wal_replay;
         Alcotest.test_case "four clients interleave txns" `Quick
           test_concurrent_clients_interleave;
+        Alcotest.test_case "snapshot isolation model" `Quick
+          test_snapshot_isolation_model;
       ] );
   ]

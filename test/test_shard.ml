@@ -376,7 +376,7 @@ let test_random_queries =
           List.iter (assert_same single cl) sqls;
           true))
 
-(* ---- copy-on-write genomic index clone (Database.clone) ---------------- *)
+(* ---- shared clones keep their genomic indexes (Database.clone) --------- *)
 
 let cow_fixture () =
   let db = Db.create () in
@@ -404,27 +404,36 @@ let contains_names db =
            rs.Exec.rows)
   | _ -> ""
 
-let test_cow_clone_shares () =
+let test_clone_without_attach () =
   let db = cow_fixture () in
-  Obs.set_enabled true;
-  let clones0 = Obs.value (Obs.counter "storage.text_index.cow_clones") in
   let clone = Db.clone db in
-  attach clone;
-  checkb "clone shared the index" true
-    (Obs.value (Obs.counter "storage.text_index.cow_clones") > clones0);
   check "clone answers from the shared index" "a,b" (contains_names clone);
+  (match
+     ok
+       (Exec.query clone ~actor
+          "EXPLAIN SELECT name FROM genes WHERE contains(seq, 'ACGTAC')")
+   with
+  | Exec.Rows rs ->
+      let plan =
+        String.concat "\n"
+          (List.map (fun r -> D.value_to_display r.(0)) rs.Exec.rows)
+      in
+      let needle = "via genomic index seq" in
+      let n = String.length needle in
+      let rec has i =
+        i + n <= String.length plan
+        && (String.sub plan i n = needle || has (i + 1))
+      in
+      checkb "clone plans the shared genomic index" true (has 0)
+  | _ -> Alcotest.fail "EXPLAIN returned no plan");
   check "original still answers" "a,b" (contains_names db)
 
 let test_cow_divergence_isolated () =
   let db = cow_fixture () in
   let clone = Db.clone db in
-  attach clone;
-  (* write through the original: the first index mutation breaks COW *)
-  let breaks0 = Obs.value (Obs.counter "storage.text_index.cow_breaks") in
+  (* write through the original: its first write copies its table *)
   ignore
     (ok (Exec.query db ~actor "INSERT INTO genes VALUES ('c', dna('ACGTACAA'))"));
-  checkb "cow break counted" true
-    (Obs.value (Obs.counter "storage.text_index.cow_breaks") > breaks0);
   check "original sees the new row" "a,b,c" (contains_names db);
   check "clone is isolated" "a,b" (contains_names clone);
   (* and the other direction *)
@@ -581,8 +590,8 @@ let suites =
       ] );
     ( "shard.cow-clone",
       [
-        Alcotest.test_case "clone shares genomic indexes" `Quick
-          test_cow_clone_shares;
+        Alcotest.test_case "clone answers contains without attach" `Quick
+          test_clone_without_attach;
         Alcotest.test_case "divergence is isolated" `Quick
           test_cow_divergence_isolated;
       ] );

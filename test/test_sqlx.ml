@@ -440,6 +440,31 @@ let test_render () =
      in
      contains text "ACGTACGTACGT")
 
+(* An aggregate without GROUP BY is one pass over its input: counting
+   4 000 rows may not cost an order of magnitude more than returning
+   them. *)
+let test_exec_count_allocation () =
+  let db = Db.create () in
+  ignore (Result.get_ok (Exec.query db ~actor:"u" "CREATE TABLE frag (id int)"));
+  let t = Option.get (Db.find_table db ~space:(Db.User "u") "frag") in
+  for i = 1 to 4000 do
+    ignore (Genalg_storage.Table.insert_exn t [| D.Int i |])
+  done;
+  let allocated sql =
+    let select = select_of sql in
+    let before = Gc.allocated_bytes () in
+    let rs = Result.get_ok (Exec.run_select db ~actor:"u" select) in
+    (Gc.allocated_bytes () -. before, rs.Exec.rows)
+  in
+  let scan, rows = allocated "SELECT id FROM frag" in
+  let count, counted = allocated "SELECT count(*) FROM frag" in
+  check Alcotest.int "all rows returned" 4000 (List.length rows);
+  check Alcotest.bool "count is right" true (counted = [ [| D.Int 4000 |] ]);
+  check Alcotest.bool
+    (Printf.sprintf "count(*) allocates %.0f B against %.0f B for the scan" count scan)
+    true
+    (count < 10. *. scan)
+
 (* ---- join strategies --------------------------------------------------- *)
 
 let join_fixture () =
@@ -643,6 +668,7 @@ let suites =
         tc "order by UDF" `Quick test_exec_order_by_udf;
         tc "three-way join" `Quick test_exec_three_way_join;
         tc "aggregate over empty" `Quick test_exec_aggregate_empty;
+        tc "count(*) allocation linear" `Quick test_exec_count_allocation;
         tc "limit zero" `Quick test_exec_limit_zero;
         tc "render" `Quick test_render;
       ] );

@@ -1,7 +1,6 @@
 (* Unit tests for the storage engine (lib/storage). *)
 
 module D = Genalg_storage.Dtype
-module Page = Genalg_storage.Page
 module Heap = Genalg_storage.Heap
 module Btree = Genalg_storage.Btree
 module Schema = Genalg_storage.Schema
@@ -59,106 +58,62 @@ let test_corrupt_decode () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
-(* ---- pages ------------------------------------------------------------- *)
-
-let test_page_insert_get () =
-  let p = Page.create () in
-  let r1 = Option.get (Page.insert p (Bytes.of_string "hello")) in
-  let r2 = Option.get (Page.insert p (Bytes.of_string "world!")) in
-  check Alcotest.int "slots" 2 (Page.slot_count p);
-  check (Alcotest.option Alcotest.string) "get 1" (Some "hello")
-    (Option.map Bytes.to_string (Page.get p r1));
-  check (Alcotest.option Alcotest.string) "get 2" (Some "world!")
-    (Option.map Bytes.to_string (Page.get p r2))
-
-let test_page_delete_compact () =
-  let p = Page.create () in
-  let r1 = Option.get (Page.insert p (Bytes.make 1000 'a')) in
-  let r2 = Option.get (Page.insert p (Bytes.make 1000 'b')) in
-  let free_before = Page.free_space p in
-  check Alcotest.bool "delete" true (Page.delete p r1);
-  check Alcotest.bool "double delete" false (Page.delete p r1);
-  check (Alcotest.option Alcotest.string) "tombstoned" None
-    (Option.map Bytes.to_string (Page.get p r1));
-  Page.compact p;
-  check Alcotest.bool "space reclaimed" true (Page.free_space p >= free_before + 1000);
-  check (Alcotest.option Alcotest.string) "survivor stable" (Some (String.make 1000 'b'))
-    (Option.map Bytes.to_string (Page.get p r2))
-
-let test_page_full () =
-  let p = Page.create () in
-  let record = Bytes.make 1000 'x' in
-  let rec fill n = if Page.insert p record = None then n else fill (n + 1) in
-  let n = fill 0 in
-  check Alcotest.bool "8 records of 1000B fit an 8K page" true (n = 8 || n = 7);
-  check Alcotest.int "live count" n (Page.live_count p)
-
-let test_page_update () =
-  let p = Page.create () in
-  let r = Option.get (Page.insert p (Bytes.of_string "short")) in
-  check Alcotest.bool "shrink in place" true (Page.update p r (Bytes.of_string "st"));
-  check (Alcotest.option Alcotest.string) "shrunk" (Some "st")
-    (Option.map Bytes.to_string (Page.get p r));
-  check Alcotest.bool "grow via compact" true
-    (Page.update p r (Bytes.of_string (String.make 100 'y')));
-  check (Alcotest.option Alcotest.string) "grown" (Some (String.make 100 'y'))
-    (Option.map Bytes.to_string (Page.get p r))
-
 (* ---- heap ----------------------------------------------------------------- *)
+
+let row i = [| D.Int i; D.Str (string_of_int i) |]
+let row_t = Alcotest.(option (array (testable D.pp_value D.equal_value)))
 
 let test_heap_many_records () =
   let h = Heap.create () in
-  let rids =
-    List.init 5000 (fun i -> (i, Heap.insert h (Bytes.of_string (string_of_int i))))
-  in
+  let rids = List.init 5000 (fun i -> (i, Heap.insert h (row i))) in
   check Alcotest.int "count" 5000 (Heap.record_count h);
-  check Alcotest.bool "multiple pages" true (Heap.page_count h > 1);
-  List.iter
-    (fun (i, rid) ->
-      check (Alcotest.option Alcotest.string) "get" (Some (string_of_int i))
-        (Option.map Bytes.to_string (Heap.get h rid)))
-    rids
+  List.iter (fun (i, rid) -> check row_t "get" (Some (row i)) (Heap.get h rid)) rids
 
 let test_heap_delete_update () =
   let h = Heap.create () in
-  let r1 = Heap.insert h (Bytes.of_string "one") in
-  let r2 = Heap.insert h (Bytes.of_string "two") in
+  let r1 = Heap.insert h (row 1) in
+  let r2 = Heap.insert h (row 2) in
   check Alcotest.bool "delete" true (Heap.delete h r1);
+  check Alcotest.bool "double delete" false (Heap.delete h r1);
   check Alcotest.int "count after delete" 1 (Heap.record_count h);
-  let r2' = Heap.update h r2 (Bytes.of_string "TWO!") in
-  check (Alcotest.option Alcotest.string) "updated" (Some "TWO!")
-    (Option.map Bytes.to_string (Heap.get h r2'))
+  check Alcotest.bool "update in place" true (Heap.update h r2 (row 22));
+  check row_t "updated" (Some (row 22)) (Heap.get h r2);
+  check Alcotest.bool "update of a deleted rid refused" false (Heap.update h r1 (row 3));
+  check row_t "deleted stays deleted" None (Heap.get h r1);
+  (* a zero-arity row is a live row, not a tombstone *)
+  let r3 = Heap.insert h [||] in
+  check row_t "empty row is live" (Some [||]) (Heap.get h r3);
+  check Alcotest.int "scan skips the tombstone" 2
+    (Heap.fold (fun _ _ n -> n + 1) h 0)
 
 (* ---- btree ------------------------------------------------------------------ *)
-
-let rid i = { Heap.page = i; slot = 0 }
 
 let test_btree_insert_find () =
   let t = Btree.create () in
   for i = 0 to 999 do
-    Btree.insert t (D.Int ((i * 37) mod 1000)) (rid i)
+    Btree.insert t (D.Int ((i * 37) mod 1000)) i
   done;
   check Alcotest.int "all keys present" 1000 (Btree.cardinal t);
   check Alcotest.bool "height grows" true (Btree.height t >= 2);
   check (Alcotest.list Alcotest.int) "find key 0"
     [ 0 ]
-    (List.map (fun r -> r.Heap.page) (Btree.find t (D.Int 0)));
+    (Btree.find t (D.Int 0));
   check (Alcotest.list Alcotest.int) "absent" []
-    (List.map (fun r -> r.Heap.page) (Btree.find t (D.Int 5000)))
+    (Btree.find t (D.Int 5000))
 
 let test_btree_duplicates () =
   let t = Btree.create () in
-  Btree.insert t (D.Str "k") (rid 1);
-  Btree.insert t (D.Str "k") (rid 2);
+  Btree.insert t (D.Str "k") 1;
+  Btree.insert t (D.Str "k") 2;
   check Alcotest.int "two postings" 2 (List.length (Btree.find t (D.Str "k")));
-  check Alcotest.bool "remove one" true (Btree.remove t (D.Str "k") (rid 1));
+  check Alcotest.bool "remove one" true (Btree.remove t (D.Str "k") 1);
   check Alcotest.int "one left" 1 (List.length (Btree.find t (D.Str "k")));
-  check Alcotest.bool "remove absent" false (Btree.remove t (D.Str "k") (rid 9))
+  check Alcotest.bool "remove absent" false (Btree.remove t (D.Str "k") 9)
 
 let test_btree_order () =
   let t = Btree.create () in
   let keys = [ 5; 3; 9; 1; 7; 2; 8; 4; 6; 0 ] in
-  List.iter (fun k -> Btree.insert t (D.Int k) (rid k)) keys;
+  List.iter (fun k -> Btree.insert t (D.Int k) k) keys;
   let collected = ref [] in
   Btree.iter (fun k _ -> collected := k :: !collected) t;
   check (Alcotest.list Alcotest.int) "in-order traversal"
@@ -168,7 +123,7 @@ let test_btree_order () =
 let test_btree_range () =
   let t = Btree.create () in
   for i = 0 to 99 do
-    Btree.insert t (D.Int i) (rid i)
+    Btree.insert t (D.Int i) i
   done;
   let between = Btree.range ~lo:(D.Int 10) ~hi:(D.Int 20) t in
   check Alcotest.int "inclusive range" 11 (List.length between);
@@ -183,12 +138,12 @@ let test_btree_random_vs_model () =
   let model = Hashtbl.create 64 in
   for i = 0 to 2999 do
     let k = Genalg_synth.Rng.int rng 500 in
-    Btree.insert t (D.Int k) (rid i);
+    Btree.insert t (D.Int k) i;
     Hashtbl.replace model k (i :: Option.value (Hashtbl.find_opt model k) ~default:[])
   done;
   Hashtbl.iter
     (fun k expected ->
-      let got = List.map (fun r -> r.Heap.page) (Btree.find t (D.Int k)) in
+      let got = Btree.find t (D.Int k) in
       check (Alcotest.list Alcotest.int)
         (Printf.sprintf "postings for %d" k)
         (List.rev expected) got)
@@ -260,6 +215,19 @@ let test_table_index () =
     (List.length (Option.get (Table.index_lookup t ~column:"id" (D.Int 3))));
   check Alcotest.bool "no index on name" true
     (Table.index_lookup t ~column:"name" (D.Str "5") = None)
+
+let test_table_stores_a_copy () =
+  let t = Table.create ~name:"people" (simple_schema ()) in
+  let row = [| D.Int 1; D.Str "ada" |] in
+  let rid = Table.insert_exn t row in
+  row.(1) <- D.Str "mutated";
+  check row_t "insert kept its own copy" (Some [| D.Int 1; D.Str "ada" |])
+    (Table.get t rid);
+  let row = [| D.Int 1; D.Str "grace" |] in
+  ignore (Result.get_ok (Table.update t rid row));
+  row.(1) <- D.Str "mutated";
+  check row_t "update kept its own copy" (Some [| D.Int 1; D.Str "grace" |])
+    (Table.get t rid)
 
 (* ---- database ------------------------------------------------------------------- *)
 
@@ -373,6 +341,33 @@ let test_database_persistence () =
   | Error m -> Alcotest.fail m);
   Sys.remove path
 
+(* Cloning shares tables, so its allocation must not grow with the rows
+   they hold. *)
+let test_database_clone_is_row_independent () =
+  let clone_words n =
+    let db = Db.create () in
+    let t =
+      Result.get_ok
+        (Db.create_table db ~actor:Db.loader_actor ~space:Db.Public ~name:"t"
+           (simple_schema ()))
+    in
+    for i = 1 to n do
+      ignore (Table.insert_exn t [| D.Int i; D.Str "x" |])
+    done;
+    ignore (Table.create_index t ~column:"id");
+    let before = Gc.minor_words () in
+    let copy = Db.clone db in
+    let words = Gc.minor_words () -. before in
+    check Alcotest.int "clone sees every row" n
+      (Table.row_count (Option.get (Db.find_table copy ~space:Db.Public "t")));
+    words
+  in
+  let small = clone_words 1_000 and large = clone_words 100_000 in
+  check Alcotest.bool
+    (Printf.sprintf "same allocation (%.0f vs %.0f words)" small large)
+    true
+    (Float.abs (large -. small) <= 16.)
+
 (* ---- udt registry ------------------------------------------------------------------ *)
 
 let test_udf_overloading () =
@@ -399,13 +394,6 @@ let suites =
         tc "conforms" `Quick test_conforms;
         tc "corrupt decode" `Quick test_corrupt_decode;
       ] );
-    ( "storage.page",
-      [
-        tc "insert/get" `Quick test_page_insert_get;
-        tc "delete/compact" `Quick test_page_delete_compact;
-        tc "full page" `Quick test_page_full;
-        tc "update" `Quick test_page_update;
-      ] );
     ( "storage.heap",
       [
         tc "many records" `Quick test_heap_many_records;
@@ -424,6 +412,7 @@ let suites =
         tc "schema validation" `Quick test_schema_validation;
         tc "crud" `Quick test_table_crud;
         tc "index" `Quick test_table_index;
+        tc "stores a copy of the row" `Quick test_table_stores_a_copy;
       ] );
     ( "storage.database",
       [
@@ -432,6 +421,8 @@ let suites =
         tc "grants" `Quick test_database_grants;
         tc "udt validation" `Quick test_database_udt_validation;
         tc "persistence" `Quick test_database_persistence;
+        tc "clone allocation independent of rows" `Quick
+          test_database_clone_is_row_independent;
       ] );
     ("storage.udt", [ tc "overloading" `Quick test_udf_overloading ]);
   ]
