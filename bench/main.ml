@@ -225,7 +225,7 @@ let f2 () =
                            | Genalg_synth.Recordgen.Delete a -> Source.Delete a
                            | Genalg_synth.Recordgen.Modify e -> Source.Modify e)
                          ups);
-                    let deltas, dt = time (fun () -> Monitor.poll m) in
+                    let deltas, dt = time (fun () -> Result.get_ok (Monitor.poll m)) in
                     (dt, List.length deltas)
                   in
                   let t1, _ = run 0.01 in

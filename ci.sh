@@ -31,6 +31,19 @@ if echo "$clone_body" | grep -q 'serialize'; then
 fi
 echo "codec check ok"
 
+echo "== checks: no polymorphic max, min or compare in lib/align =="
+# Without flambda, Stdlib's max, min and compare call the polymorphic
+# comparison (caml_greaterequal, caml_compare) on every use; the DP
+# kernels use int-annotated helpers or Int.max/Int.min/Int.compare. A bare
+# name, in code or in a comment, fails the check.
+poly_uses=$(grep -nE "(^|[^._A-Za-z0-9'])(max|min|compare)([^_A-Za-z0-9']|$)" lib/align/*.ml || true)
+[ -z "$poly_uses" ] || {
+  echo "$poly_uses" >&2
+  echo "kernel check FAILED: bare max/min/compare in lib/align" >&2
+  exit 1
+}
+echo "kernel check ok"
+
 echo "== tests =="
 dune runtest
 

@@ -90,7 +90,7 @@ let search ?(matrix = Scoring.dna_default) ?(min_score = 16) ?(x_drop = 20)
   let n = String.length query in
   let best : (int * int, hit) Hashtbl.t = Hashtbl.create 64 in
   (* band the diagonal so nearby seeds on the same diagonal collapse *)
-  let band_width = max db.k 16 in
+  let band_width = Int.max db.k 16 in
   for q_off = 0 to n - db.k do
     let word = String.sub query q_off db.k in
     match Hashtbl.find_opt db.index word with
@@ -133,8 +133,8 @@ let search ?(matrix = Scoring.dna_default) ?(min_score = 16) ?(x_drop = 20)
             Array.to_list db.entries |> List.find (fun e -> e.id = h.subject_id)
           in
           let margin = 2 * db.k in
-          let s_lo = max 0 (h.subject_start - margin) in
-          let s_hi = min (String.length entry.letters) (h.subject_end + margin) in
+          let s_lo = Int.max 0 (h.subject_start - margin) in
+          let s_hi = Int.min (String.length entry.letters) (h.subject_end + margin) in
           let window = String.sub entry.letters s_lo (s_hi - s_lo) in
           let aln = Pairwise.align ~mode:Pairwise.Local ~matrix ~query ~subject:window () in
           {

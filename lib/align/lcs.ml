@@ -1,18 +1,24 @@
+(* Int-annotated, so the comparison is an inline integer test;
+   without flambda [Stdlib.max] calls the polymorphic comparison. *)
+let imax (a : int) b = if a >= b then a else b
+
 let length ~equal a b =
-  (* Keep the shorter array as the DP row. *)
+  (* Keep the shorter array as the DP row, overwritten in place: before
+     cell [i] is written, [row.(i)] still holds the previous row's value
+     and [diag] the previous row's value at [i - 1]. *)
   let a, b = if Array.length a < Array.length b then (a, b) else (b, a) in
   let n = Array.length a in
-  let prev = Array.make (n + 1) 0 in
-  let cur = Array.make (n + 1) 0 in
+  let row = Array.make (n + 1) 0 in
   Array.iter
     (fun bj ->
+      let diag = ref 0 in
       for i = 1 to n do
-        if equal a.(i - 1) bj then cur.(i) <- prev.(i - 1) + 1
-        else cur.(i) <- max prev.(i) cur.(i - 1)
-      done;
-      Array.blit cur 0 prev 0 (n + 1))
+        let up = row.(i) in
+        row.(i) <- (if equal a.(i - 1) bj then !diag + 1 else imax up row.(i - 1));
+        diag := up
+      done)
     b;
-  prev.(n)
+  row.(n)
 
 type 'a edit = Keep of 'a | Remove of 'a | Add of 'a
 

@@ -15,6 +15,25 @@ type t = {
 
 let neg_inf = min_int / 4
 
+(* Int-annotated, so each comparison is an inline integer test;
+   without flambda [Stdlib.max] calls the polymorphic comparison. *)
+let imax (a : int) b = if a >= b then a else b
+let imin (a : int) b = if a <= b then a else b
+
+(* The query profile: [(profile ...).(Char.code c).(j)] is
+   [Scoring.score matrix c subject.[j]]. One row is built for each
+   distinct query letter, so the fill loops read one int per cell. *)
+let profile matrix ~query ~subject =
+  let m = String.length subject in
+  let rows = Array.make 256 [||] in
+  String.iter
+    (fun c ->
+      let k = Char.code c in
+      if Array.length rows.(k) <> m then
+        rows.(k) <- Array.init m (fun j -> Scoring.score matrix c subject.[j]))
+    query;
+  rows
+
 (* Cell states for Gotoh's three-matrix recurrence. *)
 let st_m = 0 (* diagonal: letters aligned *)
 let st_x = 1 (* gap in subject: query letter consumed *)
@@ -33,6 +52,8 @@ let align ?(mode = Local) ?(matrix = Scoring.dna_default) ?(gap = Scoring.defaul
   let n = String.length query and m = String.length subject in
   let open_cost = gap.Scoring.open_penalty + gap.Scoring.extend_penalty in
   let ext_cost = gap.Scoring.extend_penalty in
+  let local = mode = Local in
+  let prof = profile matrix ~query ~subject in
   let mm = Array.make_matrix (n + 1) (m + 1) neg_inf in
   let mx = Array.make_matrix (n + 1) (m + 1) neg_inf in
   let my = Array.make_matrix (n + 1) (m + 1) neg_inf in
@@ -42,27 +63,26 @@ let align ?(mode = Local) ?(matrix = Scoring.dna_default) ?(gap = Scoring.defaul
   (* Initialisation *)
   mm.(0).(0) <- 0;
   for i = 1 to n do
-    (match mode with
-    | Global | Semiglobal ->
-        mx.(i).(0) <- -(open_cost + ((i - 1) * ext_cost));
-        tbx.(i).(0) <- (if i = 1 then tb_from_m else tb_from_x)
-    | Local -> ());
-    if mode = Local then mm.(i).(0) <- 0
+    if local then mm.(i).(0) <- 0
+    else begin
+      mx.(i).(0) <- -(open_cost + ((i - 1) * ext_cost));
+      tbx.(i).(0) <- (if i = 1 then tb_from_m else tb_from_x)
+    end
   done;
   for j = 1 to m do
-    (match mode with
+    match mode with
     | Global ->
         my.(0).(j) <- -(open_cost + ((j - 1) * ext_cost));
         tby.(0).(j) <- (if j = 1 then tb_from_m else tb_from_y)
-    | Semiglobal | Local -> mm.(0).(j) <- 0)
+    | Semiglobal | Local -> mm.(0).(j) <- 0
   done;
   (* Fill *)
   for i = 1 to n do
-    let qc = query.[i - 1] in
+    let row = prof.(Char.code query.[i - 1]) in
     let mm_prev = mm.(i - 1) and mx_prev = mx.(i - 1) and my_prev = my.(i - 1) in
     let mm_row = mm.(i) and mx_row = mx.(i) and my_row = my.(i) in
+    let tbm_row = tbm.(i) and tbx_row = tbx.(i) and tby_row = tby.(i) in
     for j = 1 to m do
-      let s = Scoring.score matrix qc subject.[j - 1] in
       (* M: diagonal *)
       let dm = mm_prev.(j - 1) and dx = mx_prev.(j - 1) and dy = my_prev.(j - 1) in
       let best_diag, src =
@@ -70,40 +90,40 @@ let align ?(mode = Local) ?(matrix = Scoring.dna_default) ?(gap = Scoring.defaul
         else if dx >= dy then (dx, tb_from_x)
         else (dy, tb_from_y)
       in
-      let mval = best_diag + s in
-      if mode = Local && mval < 0 then begin
+      let mval = best_diag + row.(j - 1) in
+      if local && mval < 0 then begin
         mm_row.(j) <- 0;
-        tbm.(i).(j) <- tb_start
+        tbm_row.(j) <- tb_start
       end
       else begin
         mm_row.(j) <- mval;
-        tbm.(i).(j) <- src
+        tbm_row.(j) <- src
       end;
       (* X: gap in subject (vertical move, consumes query letter) *)
-      let open_from = max mm_prev.(j) my_prev.(j) in
+      let open_from = imax mm_prev.(j) my_prev.(j) in
       let open_src = if mm_prev.(j) >= my_prev.(j) then tb_from_m else tb_from_y in
       let xv_open = open_from - open_cost in
       let xv_ext = mx_prev.(j) - ext_cost in
       if xv_open >= xv_ext then begin
         mx_row.(j) <- xv_open;
-        tbx.(i).(j) <- open_src
+        tbx_row.(j) <- open_src
       end
       else begin
         mx_row.(j) <- xv_ext;
-        tbx.(i).(j) <- tb_from_x
+        tbx_row.(j) <- tb_from_x
       end;
       (* Y: gap in query (horizontal move, consumes subject letter) *)
-      let open_from = max mm_row.(j - 1) mx_row.(j - 1) in
+      let open_from = imax mm_row.(j - 1) mx_row.(j - 1) in
       let open_src = if mm_row.(j - 1) >= mx_row.(j - 1) then tb_from_m else tb_from_x in
       let yv_open = open_from - open_cost in
       let yv_ext = my_row.(j - 1) - ext_cost in
       if yv_open >= yv_ext then begin
         my_row.(j) <- yv_open;
-        tby.(i).(j) <- open_src
+        tby_row.(j) <- open_src
       end
       else begin
         my_row.(j) <- yv_ext;
-        tby.(i).(j) <- tb_from_y
+        tby_row.(j) <- tb_from_y
       end
     done
   done;
@@ -148,10 +168,8 @@ let align ?(mode = Local) ?(matrix = Scoring.dna_default) ?(gap = Scoring.defaul
   while !continue do
     if !state = st_m then begin
       if !i = 0 && !j = 0 then continue := false
-      else if mode = Local && tbm.(!i).(!j) = tb_start && mm.(!i).(!j) = 0 && (!i = 0 || !j = 0)
-      then continue := false
-      else if mode = Local && tbm.(!i).(!j) = tb_start then continue := false
-      else if (mode = Semiglobal || mode = Local) && !i = 0 then continue := false
+      else if local && tbm.(!i).(!j) = tb_start then continue := false
+      else if mode = Semiglobal && !i = 0 then continue := false
       else if !i > 0 && !j > 0 then begin
         let qc = query.[!i - 1] and sc = subject.[!j - 1] in
         ops := (if Char.uppercase_ascii qc = Char.uppercase_ascii sc then Match else Mismatch) :: !ops;
@@ -209,58 +227,73 @@ let align_seq ?mode ?matrix ?gap ~query ~subject () =
   in
   align ?mode ~matrix ?gap ~query:(Seq.to_string query) ~subject:(Seq.to_string subject) ()
 
-(* Score-only variant with two rolling rows per state: O(m) memory. *)
+(* Score-only variant: two rows per state, swapped after each row, so
+   O(m) memory. Every [unsafe_get]/[unsafe_set] index below lies in
+   [0, m], the length of each row array, or in [0, m - 1], the length of
+   a profile row. *)
 let score_only ?(mode = Local) ?(matrix = Scoring.dna_default)
     ?(gap = Scoring.default_gap) ~query ~subject () =
   let n = String.length query and m = String.length subject in
   let open_cost = gap.Scoring.open_penalty + gap.Scoring.extend_penalty in
   let ext_cost = gap.Scoring.extend_penalty in
-  let mm_prev = Array.make (m + 1) neg_inf in
-  let mx_prev = Array.make (m + 1) neg_inf in
-  let my_prev = Array.make (m + 1) neg_inf in
-  let mm_cur = Array.make (m + 1) neg_inf in
-  let mx_cur = Array.make (m + 1) neg_inf in
-  let my_cur = Array.make (m + 1) neg_inf in
-  mm_prev.(0) <- 0;
+  let local = mode = Local in
+  let prof = profile matrix ~query ~subject in
+  let mm_prev = ref (Array.make (m + 1) neg_inf) and mm_cur = ref (Array.make (m + 1) neg_inf) in
+  let mx_prev = ref (Array.make (m + 1) neg_inf) and mx_cur = ref (Array.make (m + 1) neg_inf) in
+  let my_prev = ref (Array.make (m + 1) neg_inf) and my_cur = ref (Array.make (m + 1) neg_inf) in
+  !mm_prev.(0) <- 0;
   for j = 1 to m do
     match mode with
-    | Global -> my_prev.(j) <- -(open_cost + ((j - 1) * ext_cost))
-    | Semiglobal | Local -> mm_prev.(j) <- 0
+    | Global -> !my_prev.(j) <- -(open_cost + ((j - 1) * ext_cost))
+    | Semiglobal | Local -> !mm_prev.(j) <- 0
   done;
   let best_local = ref 0 in
   for i = 1 to n do
-    let qc = query.[i - 1] in
-    mm_cur.(0) <- (if mode = Local then 0 else neg_inf);
-    mx_cur.(0) <-
-      (match mode with
-      | Global | Semiglobal -> -(open_cost + ((i - 1) * ext_cost))
-      | Local -> neg_inf);
-    my_cur.(0) <- neg_inf;
+    let row = prof.(Char.code query.[i - 1]) in
+    let mp = !mm_prev and xp = !mx_prev and yp = !my_prev in
+    let mc = !mm_cur and xc = !mx_cur and yc = !my_cur in
+    mc.(0) <- (if local then 0 else neg_inf);
+    xc.(0) <- (if local then neg_inf else -(open_cost + ((i - 1) * ext_cost)));
+    yc.(0) <- neg_inf;
     for j = 1 to m do
-      let s = Scoring.score matrix qc subject.[j - 1] in
-      let diag = max mm_prev.(j - 1) (max mx_prev.(j - 1) my_prev.(j - 1)) in
-      let mval = diag + s in
-      mm_cur.(j) <- (if mode = Local && mval < 0 then 0 else mval);
-      if mode = Local && mm_cur.(j) > !best_local then best_local := mm_cur.(j);
-      mx_cur.(j) <- max (max mm_prev.(j) my_prev.(j) - open_cost) (mx_prev.(j) - ext_cost);
-      my_cur.(j) <- max (max mm_cur.(j - 1) mx_cur.(j - 1) - open_cost) (my_cur.(j - 1) - ext_cost)
+      let diag =
+        imax (Array.unsafe_get mp (j - 1))
+          (imax (Array.unsafe_get xp (j - 1)) (Array.unsafe_get yp (j - 1)))
+      in
+      let mval = diag + Array.unsafe_get row (j - 1) in
+      let mval = if local && mval < 0 then 0 else mval in
+      Array.unsafe_set mc j mval;
+      if local && mval > !best_local then best_local := mval;
+      Array.unsafe_set xc j
+        (imax
+           (imax (Array.unsafe_get mp j) (Array.unsafe_get yp j) - open_cost)
+           (Array.unsafe_get xp j - ext_cost));
+      Array.unsafe_set yc j
+        (imax
+           (imax (Array.unsafe_get mc (j - 1)) (Array.unsafe_get xc (j - 1)) - open_cost)
+           (Array.unsafe_get yc (j - 1) - ext_cost))
     done;
-    Array.blit mm_cur 0 mm_prev 0 (m + 1);
-    Array.blit mx_cur 0 mx_prev 0 (m + 1);
-    Array.blit my_cur 0 my_prev 0 (m + 1)
+    mm_prev := mc; mm_cur := mp;
+    mx_prev := xc; mx_cur := xp;
+    my_prev := yc; my_cur := yp
   done;
+  let mp = !mm_prev and xp = !mx_prev and yp = !my_prev in
   match mode with
-  | Global -> max mm_prev.(m) (max mx_prev.(m) my_prev.(m))
+  | Global -> imax mp.(m) (imax xp.(m) yp.(m))
   | Semiglobal ->
       let best = ref neg_inf in
       for j = 0 to m do
-        best := max !best (max mm_prev.(j) (max mx_prev.(j) my_prev.(j)))
+        best := imax !best (imax mp.(j) (imax xp.(j) yp.(j)))
       done;
       !best
   | Local -> !best_local
 
 (* Banded global Gotoh: only cells with |i - j| <= band are computed;
-   everything outside the band stays at neg_inf. *)
+   everything outside the band stays at neg_inf. Rows are swapped as in
+   [score_only]; a cell of the row two back that the band has left is
+   never read again, and one it has not reached yet still holds neg_inf,
+   because [hi] never decreases. Indices lie in [lo - 1, hi], a subset of
+   [0, m]. *)
 let banded_score ~band ?(matrix = Scoring.dna_default) ?(gap = Scoring.default_gap)
     ~query ~subject () =
   let n = String.length query and m = String.length subject in
@@ -269,55 +302,51 @@ let banded_score ~band ?(matrix = Scoring.dna_default) ?(gap = Scoring.default_g
     invalid_arg "Pairwise.banded_score: band narrower than the length difference";
   let open_cost = gap.Scoring.open_penalty + gap.Scoring.extend_penalty in
   let ext_cost = gap.Scoring.extend_penalty in
-  let mm_prev = Array.make (m + 1) neg_inf in
-  let mx_prev = Array.make (m + 1) neg_inf in
-  let my_prev = Array.make (m + 1) neg_inf in
-  let mm_cur = Array.make (m + 1) neg_inf in
-  let mx_cur = Array.make (m + 1) neg_inf in
-  let my_cur = Array.make (m + 1) neg_inf in
-  mm_prev.(0) <- 0;
-  for j = 1 to min m band do
-    my_prev.(j) <- -(open_cost + ((j - 1) * ext_cost))
+  let prof = profile matrix ~query ~subject in
+  let mm_prev = ref (Array.make (m + 1) neg_inf) and mm_cur = ref (Array.make (m + 1) neg_inf) in
+  let mx_prev = ref (Array.make (m + 1) neg_inf) and mx_cur = ref (Array.make (m + 1) neg_inf) in
+  let my_prev = ref (Array.make (m + 1) neg_inf) and my_cur = ref (Array.make (m + 1) neg_inf) in
+  !mm_prev.(0) <- 0;
+  for j = 1 to imin m band do
+    !my_prev.(j) <- -(open_cost + ((j - 1) * ext_cost))
   done;
   for i = 1 to n do
-    let qc = query.[i - 1] in
-    let lo = max 1 (i - band) and hi = min m (i + band) in
+    let row = prof.(Char.code query.[i - 1]) in
+    let mp = !mm_prev and xp = !mx_prev and yp = !my_prev in
+    let mc = !mm_cur and xc = !mx_cur and yc = !my_cur in
+    let lo = imax 1 (i - band) and hi = imin m (i + band) in
     (* reset the row inside (and just around) the band *)
-    for j = max 0 (lo - 1) to hi do
-      mm_cur.(j) <- neg_inf;
-      mx_cur.(j) <- neg_inf;
-      my_cur.(j) <- neg_inf
+    for j = lo - 1 to hi do
+      Array.unsafe_set mc j neg_inf;
+      Array.unsafe_set xc j neg_inf;
+      Array.unsafe_set yc j neg_inf
     done;
     if i - band <= 0 then
-      mx_cur.(0) <- -(open_cost + ((i - 1) * ext_cost));
+      xc.(0) <- -(open_cost + ((i - 1) * ext_cost));
     for j = lo to hi do
-      let s = Scoring.score matrix qc subject.[j - 1] in
-      let diag = max mm_prev.(j - 1) (max mx_prev.(j - 1) my_prev.(j - 1)) in
-      if diag > neg_inf then mm_cur.(j) <- diag + s;
-      let x_open = max mm_prev.(j) my_prev.(j) in
-      let xv =
-        max (if x_open > neg_inf then x_open - open_cost else neg_inf)
-          (if mx_prev.(j) > neg_inf then mx_prev.(j) - ext_cost else neg_inf)
+      let diag =
+        imax (Array.unsafe_get mp (j - 1))
+          (imax (Array.unsafe_get xp (j - 1)) (Array.unsafe_get yp (j - 1)))
       in
-      mx_cur.(j) <- xv;
-      let y_open = max mm_cur.(j - 1) mx_cur.(j - 1) in
-      let yv =
-        max (if y_open > neg_inf then y_open - open_cost else neg_inf)
-          (if my_cur.(j - 1) > neg_inf then my_cur.(j - 1) - ext_cost else neg_inf)
-      in
-      my_cur.(j) <- yv
+      if diag > neg_inf then Array.unsafe_set mc j (diag + Array.unsafe_get row (j - 1));
+      let x_open = imax (Array.unsafe_get mp j) (Array.unsafe_get yp j) in
+      let x_ext = Array.unsafe_get xp j in
+      Array.unsafe_set xc j
+        (imax
+           (if x_open > neg_inf then x_open - open_cost else neg_inf)
+           (if x_ext > neg_inf then x_ext - ext_cost else neg_inf));
+      let y_open = imax (Array.unsafe_get mc (j - 1)) (Array.unsafe_get xc (j - 1)) in
+      let y_ext = Array.unsafe_get yc (j - 1) in
+      Array.unsafe_set yc j
+        (imax
+           (if y_open > neg_inf then y_open - open_cost else neg_inf)
+           (if y_ext > neg_inf then y_ext - ext_cost else neg_inf))
     done;
-    Array.blit mm_cur 0 mm_prev 0 (m + 1);
-    Array.blit mx_cur 0 mx_prev 0 (m + 1);
-    Array.blit my_cur 0 my_prev 0 (m + 1);
-    (* the column 0 boundary leaves the band once i > band *)
-    if i - band > 0 then begin
-      mm_prev.(0) <- neg_inf;
-      mx_prev.(0) <- neg_inf;
-      my_prev.(0) <- neg_inf
-    end
+    mm_prev := mc; mm_cur := mp;
+    mx_prev := xc; mx_cur := xp;
+    my_prev := yc; my_cur := yp
   done;
-  max mm_prev.(m) (max mx_prev.(m) my_prev.(m))
+  imax !mm_prev.(m) (imax !mx_prev.(m) !my_prev.(m))
 
 let identity t =
   match t.ops with

@@ -252,10 +252,19 @@ let matrix_for a b =
   | _ ->
       invalid_arg "Ops: cannot compare protein with nucleotide sequences"
 
+(* The score of [s] aligned with itself: each distinct letter is scored
+   once and weighted by its count. *)
 let self_score matrix s =
-  Sequence.fold_left
-    (fun acc c -> acc + Genalg_align.Scoring.score matrix c c)
-    0 s
+  let counts = Array.make 256 0 in
+  String.iter (fun c -> counts.(Char.code c) <- counts.(Char.code c) + 1) s;
+  let total = ref 0 in
+  Array.iteri
+    (fun k n ->
+      if n > 0 then
+        let c = Char.chr k in
+        total := !total + (n * Genalg_align.Scoring.score matrix c c))
+    counts;
+  !total
 
 let resembles a b =
   let matrix = matrix_for a b in
@@ -266,7 +275,7 @@ let resembles a b =
       Genalg_align.Pairwise.score_only ~mode:Genalg_align.Pairwise.Local ~matrix
         ~query:sa ~subject:sb ()
     in
-    let norm = min (self_score matrix a) (self_score matrix b) in
+    let norm = Int.min (self_score matrix sa) (self_score matrix sb) in
     if norm <= 0 then 0.
     else begin
       let r = float_of_int score /. float_of_int norm in

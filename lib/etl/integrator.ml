@@ -8,41 +8,57 @@ type merged = {
   consistent : bool;
 }
 
-let kmer_set k seq =
-  let s = Sequence.to_string seq in
-  let n = String.length s in
-  let set = Hashtbl.create (max 16 n) in
-  for i = 0 to n - k do
-    Hashtbl.replace set (String.sub s i k) ()
-  done;
-  set
+let k = 8
 
-let kmer_similarity ?(k = 8) a b =
-  if Sequence.length a < k || Sequence.length b < k then
-    (if Sequence.equal a b then 1. else 0.)
+(* The distinct k-mers of [seq], sorted. Each k-mer is one int of 7 bits
+   per letter, which is injective over ASCII, the alphabet every
+   sequence letter comes from. *)
+let kmer_codes seq =
+  let s = Sequence.to_string seq in
+  let n = String.length s - k + 1 in
+  if n <= 0 then [||]
   else begin
-    let sa = kmer_set k a and sb = kmer_set k b in
-    let small, large =
-      if Hashtbl.length sa <= Hashtbl.length sb then (sa, sb) else (sb, sa)
-    in
-    let inter =
-      Hashtbl.fold (fun key () acc -> if Hashtbl.mem large key then acc + 1 else acc) small 0
-    in
-    let union = Hashtbl.length sa + Hashtbl.length sb - inter in
-    if union = 0 then 1. else float_of_int inter /. float_of_int union
+    let codes = Array.make n 0 in
+    let mask = (1 lsl (7 * k)) - 1 in
+    let h = ref 0 in
+    String.iteri
+      (fun i c ->
+        h := ((!h lsl 7) lor Char.code c) land mask;
+        if i >= k - 1 then codes.(i - k + 1) <- !h)
+      s;
+    Array.sort Int.compare codes;
+    let distinct = ref 1 in
+    for i = 1 to n - 1 do
+      if codes.(i) <> codes.(!distinct - 1) then begin
+        codes.(!distinct) <- codes.(i);
+        incr distinct
+      end
+    done;
+    Array.sub codes 0 !distinct
   end
 
-let default_k = 8
+(* Jaccard similarity of two sorted sets; the intersection is counted by
+   one merge. *)
+let jaccard a b =
+  let la = Array.length a and lb = Array.length b in
+  let inter = ref 0 and i = ref 0 and j = ref 0 in
+  while !i < la && !j < lb do
+    let x = a.(!i) and y = b.(!j) in
+    if x = y then begin
+      incr inter;
+      incr i;
+      incr j
+    end
+    else if x < y then incr i
+    else incr j
+  done;
+  let union = la + lb - !inter in
+  if union = 0 then 1. else float_of_int !inter /. float_of_int union
 
-let jaccard sa sb =
-  let small, large =
-    if Hashtbl.length sa <= Hashtbl.length sb then (sa, sb) else (sb, sa)
-  in
-  let inter =
-    Hashtbl.fold (fun key () acc -> if Hashtbl.mem large key then acc + 1 else acc) small 0
-  in
-  let union = Hashtbl.length sa + Hashtbl.length sb - inter in
-  if union = 0 then 1. else float_of_int inter /. float_of_int union
+let kmer_similarity a b =
+  if Sequence.length a < k || Sequence.length b < k then
+    (if Sequence.equal a b then 1. else 0.)
+  else jaccard (kmer_codes a) (kmer_codes b)
 
 (* Score with optionally precomputed k-mer sets, so bulk reconciliation
    builds each entry's set once instead of once per candidate pair. *)
@@ -79,7 +95,7 @@ let buckets_of (e : Entry.t) =
   let band = len / band_width in
   List.map
     (fun b -> (e.Entry.organism, b))
-    (List.sort_uniq compare [ band - 1; band; band + 1 ])
+    [ band - 1; band; band + 1 ]
 
 let find_duplicates ?(threshold = 0.6) sourced =
   let indexed = List.mapi (fun i (src, e) -> (i, src, e)) sourced in
@@ -93,10 +109,7 @@ let find_duplicates ?(threshold = 0.6) sourced =
         (buckets_of e))
     indexed;
   let arr = Array.of_list indexed in
-  let kmer_sets =
-    Array.map (fun (_, _, (e : Entry.t)) -> kmer_set default_k e.Entry.sequence) arr
-  in
-  let seen = Hashtbl.create 64 in
+  let kmer_sets = Array.map (fun (_, _, (e : Entry.t)) -> kmer_codes e.Entry.sequence) arr in
   let results = ref [] in
   Array.iter
     (fun (i, src_i, (e_i : Entry.t)) ->
@@ -108,8 +121,8 @@ let find_duplicates ?(threshold = 0.6) sourced =
       in
       List.iter
         (fun j ->
-          if j > i && not (Hashtbl.mem seen (i, j)) then begin
-            Hashtbl.add seen (i, j) ();
+          (* candidates are distinct, so each pair is scored once *)
+          if j > i then begin
             let _, src_j, e_j = arr.(j) in
             if src_i <> src_j then begin
               let score =

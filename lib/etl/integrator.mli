@@ -20,8 +20,9 @@ type merged = {
   consistent : bool;                            (** true when all members agree *)
 }
 
-val kmer_similarity : ?k:int -> Sequence.t -> Sequence.t -> float
-(** Jaccard similarity of the k-mer sets (default k = 8), in [0, 1]. *)
+val kmer_similarity : Sequence.t -> Sequence.t -> float
+(** Jaccard similarity of the 8-mer sets, in [0, 1]; for a sequence
+    shorter than 8, 1 when both are equal and 0 otherwise. *)
 
 val pair_score : Entry.t -> Entry.t -> float
 (** Combined duplicate score in [0, 1]: 0 when organisms differ or

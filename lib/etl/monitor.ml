@@ -7,6 +7,8 @@ let c_deletions = Obs.counter "etl.deltas.deletion"
 let c_modifications = Obs.counter "etl.deltas.modification"
 let c_diff_cost = Obs.counter "etl.diff_cost"
 
+let ( let* ) = Result.bind
+
 type technique =
   | Database_trigger
   | Program_trigger
@@ -82,16 +84,26 @@ let create source =
           diff_cost = 0;
         }
       in
-      (match technique with
+      match technique with
       | Database_trigger | Program_trigger ->
           (match Source.subscribe source (fun d -> t.pushed <- d :: t.pushed) with
           | Ok () -> ()
-          | Error _ -> ())
-      | Log_inspection -> ()
+          | Error _ -> ());
+          Ok t
+      | Log_inspection -> Ok t
       | Edit_sequence | Snapshot_differential ->
-          t.snapshot <- (match Source.query_all source with Ok e -> e | Error _ -> [])
-      | Lcs_diff | Tree_diff -> t.last_dump <- Source.dump source);
-      Ok t
+          t.snapshot <- (match Source.query_all source with Ok e -> e | Error _ -> []);
+          Ok t
+      | Lcs_diff | Tree_diff ->
+          (* every poll re-parses [last_dump], so it must parse *)
+          let dump = Source.dump source in
+          let* _ =
+            Result.map_error
+              (fun msg -> "initial dump does not parse: " ^ msg)
+              (Source.parse_dump (Source.representation source) dump)
+          in
+          t.last_dump <- dump;
+          Ok t
 
 let fresh_delta t make =
   t.clock <- t.clock +. 1.;
@@ -127,26 +139,29 @@ let keyed_diff t old_entries new_entries =
     new_entries;
   List.rev !deltas
 
+(* Dump techniques re-parse the last dump that parsed, so a dump that
+   does not parse is an error and leaves [last_dump] where it was: the
+   changes it hid are reported by the next poll whose dump parses. *)
 let poll_inner t =
   match t.technique with
   | Database_trigger | Program_trigger ->
       let ds = List.rev t.pushed in
       t.pushed <- [];
-      ds
+      Ok ds
   | Log_inspection -> (
       match Source.read_log t.source ~since:t.log_cursor with
-      | Error _ -> []
+      | Error _ as e -> e
       | Ok ds ->
-          List.iter (fun (d : Delta.t) -> t.log_cursor <- max t.log_cursor d.Delta.id) ds;
-          ds)
+          List.iter (fun (d : Delta.t) -> t.log_cursor <- Int.max t.log_cursor d.Delta.id) ds;
+          Ok ds)
   | Edit_sequence | Snapshot_differential -> (
       match Source.query_all t.source with
-      | Error _ -> []
+      | Error _ as e -> e
       | Ok current ->
           let ds = keyed_diff t t.snapshot current in
           t.snapshot <- current;
-          ds)
-  | Lcs_diff -> (
+          Ok ds)
+  | Lcs_diff ->
       let dump = Source.dump t.source in
       (* the raw flat-file comparison: Myers diff over lines (the paper's
          "longest common subsequence approach, used in the UNIX diff
@@ -155,63 +170,47 @@ let poll_inner t =
       let new_lines = Array.of_list (String.split_on_char '\n' dump) in
       let script = Lcs.diff ~equal:String.equal old_lines new_lines in
       t.diff_cost <- Lcs.edit_distance_of script;
-      if t.diff_cost = 0 then begin
-        t.last_dump <- dump;
-        []
-      end
-      else begin
+      if t.diff_cost = 0 then Ok []
+      else
         (* identify the affected records by re-parsing both dumps *)
-        match
-          ( Source.parse_dump (Source.representation t.source) t.last_dump,
-            Source.parse_dump (Source.representation t.source) dump )
-        with
-        | Ok old_entries, Ok new_entries ->
-            let ds = keyed_diff t old_entries new_entries in
-            t.last_dump <- dump;
-            ds
-        | _ ->
-            t.last_dump <- dump;
-            []
-      end)
-  | Tree_diff -> (
+        let* old_entries = Source.parse_dump (Source.representation t.source) t.last_dump in
+        let* new_entries = Source.parse_dump (Source.representation t.source) dump in
+        let ds = keyed_diff t old_entries new_entries in
+        t.last_dump <- dump;
+        Ok ds
+  | Tree_diff ->
       let dump = Source.dump t.source in
-      match
-        ( Source.parse_dump (Source.representation t.source) t.last_dump,
-          Source.parse_dump (Source.representation t.source) dump )
-      with
-      | Ok old_entries, Ok new_entries ->
-          (* per-record ordered-tree diff drives both the cost accounting
-             and the modification detection *)
-          let new_tbl = Hashtbl.create 64 in
-          List.iter
-            (fun (e : Entry.t) -> Hashtbl.replace new_tbl e.Entry.accession e)
-            new_entries;
-          let total_cost = ref 0 in
-          List.iter
-            (fun (old_e : Entry.t) ->
-              match Hashtbl.find_opt new_tbl old_e.Entry.accession with
-              | Some new_e ->
-                  let edits =
-                    Tree_diff.diff (Acedb.of_entry old_e) (Acedb.of_entry new_e)
-                  in
-                  total_cost := !total_cost + Tree_diff.cost edits
-              | None ->
-                  total_cost := !total_cost + Acedb.size (Acedb.of_entry old_e))
-            old_entries;
-          t.diff_cost <- !total_cost;
-          let ds = keyed_diff t old_entries new_entries in
-          t.last_dump <- dump;
-          ds
-      | _ ->
-          t.last_dump <- dump;
-          [])
+      let* old_entries = Source.parse_dump (Source.representation t.source) t.last_dump in
+      let* new_entries = Source.parse_dump (Source.representation t.source) dump in
+      (* per-record ordered-tree diff drives both the cost accounting
+         and the modification detection *)
+      let new_tbl = Hashtbl.create 64 in
+      List.iter
+        (fun (e : Entry.t) -> Hashtbl.replace new_tbl e.Entry.accession e)
+        new_entries;
+      let total_cost = ref 0 in
+      List.iter
+        (fun (old_e : Entry.t) ->
+          match Hashtbl.find_opt new_tbl old_e.Entry.accession with
+          | Some new_e ->
+              let edits =
+                Tree_diff.diff (Acedb.of_entry old_e) (Acedb.of_entry new_e)
+              in
+              total_cost := !total_cost + Tree_diff.cost edits
+          | None ->
+              total_cost := !total_cost + Acedb.size (Acedb.of_entry old_e))
+        old_entries;
+      t.diff_cost <- !total_cost;
+      let ds = keyed_diff t old_entries new_entries in
+      t.last_dump <- dump;
+      Ok ds
 
 let poll t =
   Obs.with_span
     ~attrs:[ ("source", Source.name t.source) ]
     ("etl.poll." ^ technique_slug t.technique)
     (fun () ->
-      let ds = poll_inner t in
+      let* ds = poll_inner t in
       List.iter
         (fun (d : Delta.t) ->
           match Delta.kind d with
@@ -225,4 +224,4 @@ let poll t =
       | Snapshot_differential ->
           ());
       Delta.notify ~source:(Source.name t.source) ds;
-      ds)
+      Ok ds)

@@ -35,21 +35,25 @@ val technique_slug : technique -> string
 type t
 
 val create : Source.t -> (t, string) result
-(** Attach to a source. Fails on N/A cells. For [Active] sources this
+(** Attach to a source. Fails on N/A cells, and for the dump techniques
+    when the initial dump does not parse. For [Active] sources this
     subscribes a callback; for snapshot techniques it records the initial
     state, so only subsequent changes are reported. *)
 
 val technique : t -> technique
 
-val poll : t -> Delta.t list
-(** Changes since the last poll (or creation), in occurrence order.
-    Deltas are renumbered by the monitor for snapshot techniques (the
-    source's own ids are unknowable there).
+val poll : t -> (Delta.t list, string) result
+(** Changes since the last poll that succeeded (or creation), in
+    occurrence order. Deltas are renumbered by the monitor for snapshot
+    techniques (the source's own ids are unknowable there). A dump that
+    does not parse is an [Error]; the monitor keeps the last dump that
+    parsed, so the changes are reported by the next poll that succeeds.
 
     Observability: runs under an [etl.poll.<technique_slug>] span; each
     returned delta bumps [etl.deltas.insertion] / [etl.deltas.deletion] /
     [etl.deltas.modification], and dump-comparison techniques add their
-    raw edit-script size to the [etl.diff_cost] counter. *)
+    raw edit-script size to the [etl.diff_cost] counter. A poll that
+    fails counts nothing. *)
 
 val last_diff_cost : t -> int
 (** Size of the most recent raw edit script (LCS line edits or tree-edit

@@ -112,10 +112,12 @@ let refresh_report t =
           end
           else
             match
-              let deltas = Monitor.poll monitor in
-              match Loader.incremental t.db ~source:name deltas with
-              | Ok s -> Ok (s, List.length deltas)
+              match Monitor.poll monitor with
               | Error _ as e -> e
+              | Ok deltas -> (
+                  match Loader.incremental t.db ~source:name deltas with
+                  | Ok s -> Ok (s, List.length deltas)
+                  | Error _ as e -> e)
             with
             | Ok (s, n) ->
                 Resilience.Breaker.success b;

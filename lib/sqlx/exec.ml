@@ -524,6 +524,15 @@ let assemble_profile ~(select : Ast.select) ~join_prof ~group_prof ~t_query0
   { op = "Select"; actual_rows = n_out; est_rows = None;
     elapsed_s = Obs.now_s () -. t_query0; children = [ base ] }
 
+(* GROUP BY keys: two keys are one group when [D.compare_value] finds
+   every pair of values equal, so NULLs form one group and Int 1 meets
+   Float 1.0. *)
+module Group_keys = Map.Make (struct
+  type t = D.value list
+
+  let compare = List.compare D.compare_value
+end)
+
 let run_select_profiled ?(optimize = true) db ~actor (select : Ast.select) =
   Obs.add c_queries 1;
   Obs.with_span "sqlx.select" @@ fun () ->
@@ -798,23 +807,20 @@ let run_select_profiled ?(optimize = true) db ~actor (select : Ast.select) =
           in
           key_rows [] joined
         in
-        (* groups in first-appearance order, each collecting its rows
-           newest first; reversed once below *)
-        let groups : (D.value list * binding list list) list =
-          List.fold_left
-            (fun acc (k, row) ->
-              let rec add = function
-                | [] -> [ (k, [ row ]) ]
-                | (k', rows) :: rest ->
-                    if List.length k' = List.length k
-                       && List.for_all2 (fun a b -> D.compare_value a b = 0) k' k
-                    then (k', row :: rows) :: rest
-                    else (k', rows) :: add rest
-              in
-              add acc)
-            [] keyed
-        in
-        Ok (List.map (fun (k, rows) -> (k, List.rev rows)) groups)
+        (* groups found through a map on the key, listed in
+           first-appearance order, each collecting its rows newest first;
+           both lists are reversed once below *)
+        let index = ref Group_keys.empty and order = ref [] in
+        List.iter
+          (fun (k, row) ->
+            match Group_keys.find_opt k !index with
+            | Some rows -> rows := row :: !rows
+            | None ->
+                let rows = ref [ row ] in
+                index := Group_keys.add k rows !index;
+                order := (k, rows) :: !order)
+          keyed;
+        Ok (List.rev_map (fun (k, rows) -> (k, List.rev !rows)) !order)
     in
     let items =
       match select.Ast.projection with

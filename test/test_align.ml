@@ -269,6 +269,195 @@ let test_blast_rejects_bad_db () =
     (Invalid_argument "Blast.make_db: duplicate subject ids") (fun () ->
       ignore (Blast.make_db [ ("a", "ACGT"); ("a", "ACGT") ]))
 
+(* ---- oracle: full-matrix references ---------------------------------- *)
+
+(* Textbook dynamic programs written here, not in lib/align: each fills
+   its whole matrix and takes only [Scoring.score], the scoring spec, from
+   the library. [neg] stands for minus infinity; sums with it stay far
+   below every real score. *)
+
+let neg = min_int / 4
+let max3 a b c = Int.max a (Int.max b c)
+
+(* Gotoh with affine gaps. [m], [x], [y] end in a letter pair, a query
+   letter against a gap, and a subject letter against a gap. Local starts
+   anywhere and floors [m] at 0; Semiglobal leaves the subject's end gaps
+   free; [band] blanks every cell with |i - j| > band (Global only). *)
+let ref_gotoh ?band mode matrix (gap : Scoring.gap) q s =
+  let n = String.length q and w = String.length s in
+  let o = gap.Scoring.open_penalty + gap.Scoring.extend_penalty
+  and e = gap.Scoring.extend_penalty in
+  let m = Array.make_matrix (n + 1) (w + 1) neg
+  and x = Array.make_matrix (n + 1) (w + 1) neg
+  and y = Array.make_matrix (n + 1) (w + 1) neg in
+  let outside i j = match band with Some b -> abs (i - j) > b | None -> false in
+  let local = mode = Pairwise.Local and global = mode = Pairwise.Global in
+  for i = 0 to n do
+    for j = 0 to w do
+      if outside i j then ()
+      else if i = 0 && j = 0 then m.(0).(0) <- 0
+      else if i = 0 then begin
+        if global then y.(0).(j) <- -(o + ((j - 1) * e)) else m.(0).(j) <- 0
+      end
+      else if j = 0 then begin
+        if local then m.(i).(0) <- 0 else x.(i).(0) <- -(o + ((i - 1) * e))
+      end
+      else begin
+        let diag = max3 m.(i - 1).(j - 1) x.(i - 1).(j - 1) y.(i - 1).(j - 1) in
+        let sc = diag + Scoring.score matrix q.[i - 1] s.[j - 1] in
+        m.(i).(j) <- (if local then Int.max 0 sc else sc);
+        x.(i).(j) <- max3 (m.(i - 1).(j) - o) (y.(i - 1).(j) - o) (x.(i - 1).(j) - e);
+        y.(i).(j) <- max3 (m.(i).(j - 1) - o) (x.(i).(j - 1) - o) (y.(i).(j - 1) - e)
+      end
+    done
+  done;
+  let best_at i j = max3 m.(i).(j) x.(i).(j) y.(i).(j) in
+  match mode with
+  | Pairwise.Global -> best_at n w
+  | Pairwise.Semiglobal ->
+      let b = ref neg in
+      for j = 0 to w do b := Int.max !b (best_at n j) done;
+      !b
+  | Pairwise.Local ->
+      let b = ref 0 in
+      Array.iter (Array.iter (fun v -> b := Int.max !b v)) m;
+      !b
+
+let ref_levenshtein a b =
+  let n = String.length a and w = String.length b in
+  let d = Array.make_matrix (n + 1) (w + 1) 0 in
+  for i = 0 to n do d.(i).(0) <- i done;
+  for j = 0 to w do d.(0).(j) <- j done;
+  for i = 1 to n do
+    for j = 1 to w do
+      let cost = if a.[i - 1] = b.[j - 1] then 0 else 1 in
+      d.(i).(j) <-
+        Int.min (Int.min (d.(i - 1).(j) + 1) (d.(i).(j - 1) + 1)) (d.(i - 1).(j - 1) + cost)
+    done
+  done;
+  d.(n).(w)
+
+let ref_lcs_length a b =
+  let n = String.length a and w = String.length b in
+  let l = Array.make_matrix (n + 1) (w + 1) 0 in
+  for i = 1 to n do
+    for j = 1 to w do
+      l.(i).(j) <-
+        (if a.[i - 1] = b.[j - 1] then l.(i - 1).(j - 1) + 1
+         else Int.max l.(i - 1).(j) l.(i).(j - 1))
+    done
+  done;
+  l.(n).(w)
+
+(* [Ops.resembles] as specified: the local score under the default gap,
+   over the smaller of the two self-scores summed letter by letter,
+   clamped to [0, 1]. *)
+let ref_resembles a b =
+  let module Sq = Genalg_gdt.Sequence in
+  let matrix =
+    if Sq.alphabet a = Sq.Protein then Scoring.blosum62 else Scoring.dna_default
+  in
+  let sa = Sq.to_string a and sb = Sq.to_string b in
+  if sa = "" || sb = "" then 0.
+  else begin
+    let self str =
+      let t = ref 0 in
+      String.iter (fun c -> t := !t + Scoring.score matrix c c) str;
+      !t
+    in
+    let norm = Int.min (self sa) (self sb) in
+    if norm <= 0 then 0.
+    else
+      Float.min 1.
+        (Float.max 0.
+           (float_of_int (ref_gotoh Pairwise.Local matrix Scoring.default_gap sa sb)
+           /. float_of_int norm))
+  end
+
+module Q = QCheck2
+
+let oracle_test ~count ~name ~print gen prop =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 19 |])
+    (Q.Test.make ~count ~name ~print gen prop)
+
+let letters_gen letters =
+  Q.Gen.(
+    string_size ~gen:(map (String.get letters) (int_bound (String.length letters - 1)))
+      (int_bound 40))
+
+(* ACGT in both cases, IUPAC codes, a stop and digits: letters every
+   matrix scores, letters only some do, and letters none does *)
+let kernel_letters = "ACGTacgtNRY*0123456789"
+
+let matrices =
+  [| Scoring.dna_default; Scoring.blosum62; Scoring.pam250; Scoring.dna ~match_:5 ~mismatch:(-4) |]
+
+let gaps =
+  [|
+    Scoring.default_gap;
+    Scoring.linear_gap 2;
+    { Scoring.open_penalty = 0; extend_penalty = 1 };
+    { Scoring.open_penalty = 4; extend_penalty = 0 };
+  |]
+
+let pairwise_oracle =
+  let gen =
+    Q.Gen.(
+      quad (int_bound (Array.length matrices - 1)) (int_bound (Array.length gaps - 1))
+        (pair (letters_gen kernel_letters) (letters_gen kernel_letters))
+        (int_bound 3))
+  in
+  let print (mi, gi, (q, s), slack) =
+    Printf.sprintf "matrix %s, gap %d/%d, query %S, subject %S, band slack %d"
+      (Scoring.name matrices.(mi)) gaps.(gi).Scoring.open_penalty
+      gaps.(gi).Scoring.extend_penalty q s slack
+  in
+  oracle_test ~count:400 ~name:"pairwise kernels = full-matrix Gotoh" ~print gen
+    (fun (mi, gi, (q, s), slack) ->
+      let matrix = matrices.(mi) and gap = gaps.(gi) in
+      List.for_all
+        (fun mode ->
+          let want = ref_gotoh mode matrix gap q s in
+          Pairwise.score_only ~mode ~matrix ~gap ~query:q ~subject:s () = want
+          && (Pairwise.align ~mode ~matrix ~gap ~query:q ~subject:s ()).Pairwise.score = want)
+        [ Pairwise.Global; Pairwise.Local; Pairwise.Semiglobal ]
+      (* a band at least as wide as the longer string is the full DP; a
+         narrower one (still reaching the corner) is the banded DP *)
+      && Pairwise.banded_score
+           ~band:(Int.max (String.length q) (String.length s) + slack)
+           ~matrix ~gap ~query:q ~subject:s ()
+         = ref_gotoh Pairwise.Global matrix gap q s
+      &&
+      let band = abs (String.length q - String.length s) + slack in
+      Pairwise.banded_score ~band ~matrix ~gap ~query:q ~subject:s ()
+      = ref_gotoh ~band Pairwise.Global matrix gap q s)
+
+let distance_oracle =
+  oracle_test ~count:400 ~name:"levenshtein and LCS length = full-matrix DP"
+    ~print:(fun (a, b) -> Printf.sprintf "%S %S" a b)
+    Q.Gen.(pair (letters_gen kernel_letters) (letters_gen kernel_letters))
+    (fun (a, b) ->
+      Distance.levenshtein a b = ref_levenshtein a b
+      && Lcs.length ~equal:Char.equal (chars a) (chars b) = ref_lcs_length a b)
+
+let resembles_oracle =
+  let module Sq = Genalg_gdt.Sequence in
+  let seq_pair =
+    Q.Gen.(
+      bool >>= fun protein ->
+      let letters, alphabet =
+        if protein then ("ACDEFGHIKLMNPQRSTVWYBZX*acdw", Sq.Protein)
+        else ("ACGTacgtNRY", Sq.Dna)
+      in
+      map
+        (fun (a, b) -> (Sq.of_string_exn alphabet a, Sq.of_string_exn alphabet b))
+        (pair (letters_gen letters) (letters_gen letters)))
+  in
+  oracle_test ~count:400 ~name:"Ops.resembles = naive normalized score"
+    ~print:(fun (a, b) -> Printf.sprintf "%S %S" (Sq.to_string a) (Sq.to_string b))
+    seq_pair
+    (fun (a, b) -> Genalg_core.Ops.resembles a b = ref_resembles a b)
+
 let suites =
   [
     ( "align.scoring",
@@ -312,4 +501,5 @@ let suites =
         tc "gapped" `Quick test_blast_gapped_refinement;
         tc "bad db" `Quick test_blast_rejects_bad_db;
       ] );
+    ("align.oracle", [ pairwise_oracle; distance_oracle; resembles_oracle ]);
   ]

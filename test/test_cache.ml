@@ -228,7 +228,7 @@ let test_mediator_delta_invalidation () =
   let r = Genalg_synth.Rng.make 93 in
   let extra = List.hd (Genalg_synth.Recordgen.repository r ~size:1 ~prefix:"HOT" ()) in
   Source.apply src [ Source.Insert extra ];
-  let deltas = Monitor.poll mon in
+  let deltas = Result.get_ok (Monitor.poll mon) in
   check Alcotest.int "delta detected" 1 (List.length deltas);
   check Alcotest.bool "notification invalidated the response cache" true
     (counter "cache.mediator.invalidations" >= 1);

@@ -135,7 +135,7 @@ let monitor_detects cap repr () =
   let src = Source.create ~name:"s" cap repr entries in
   let m = Result.get_ok (Monitor.create src) in
   check (Alcotest.list Alcotest.string) "quiescent poll is empty" []
-    (List.map (fun (d : Delta.t) -> d.Delta.item) (Monitor.poll m));
+    (List.map (fun (d : Delta.t) -> d.Delta.item) (Result.get_ok (Monitor.poll m)));
   let extra = List.hd (repo ~size:1 ~prefix:"INS" r) in
   let victim = (List.hd entries).Entry.accession in
   let modified =
@@ -148,7 +148,7 @@ let monitor_detects cap repr () =
   in
   Source.apply src
     [ Source.Insert extra; Source.Delete victim; Source.Modify modified ];
-  let deltas = Monitor.poll m in
+  let deltas = Result.get_ok (Monitor.poll m) in
   check Alcotest.int "three deltas" 3 (List.length deltas);
   let find kind =
     List.find_opt (fun d -> Delta.kind d = kind) deltas
@@ -167,7 +167,7 @@ let monitor_detects cap repr () =
       | None -> Alcotest.fail "modification without after")
   | None -> Alcotest.fail "no modification detected");
   (* second poll: nothing new *)
-  check Alcotest.int "drained" 0 (List.length (Monitor.poll m))
+  check Alcotest.int "drained" 0 (List.length (Result.get_ok (Monitor.poll m)))
 
 let test_monitor_diff_cost () =
   let r = rng () in
@@ -180,6 +180,62 @@ let test_monitor_diff_cost () =
   Source.apply src [ Source.Modify { e with Entry.version = 9 } ];
   ignore (Monitor.poll m);
   check Alcotest.bool "LCS cost positive after change" true (Monitor.last_diff_cost m > 0)
+
+(* A dump that does not parse must not become the baseline of the next
+   comparison: the deletion it hid is reported exactly once, by the first
+   poll after the fault clears. *)
+let test_monitor_corrupt_dump_defers_deltas () =
+  let r = rng () in
+  let entries = repo ~size:6 r in
+  let src = Source.create ~name:"s" Source.Non_queryable Source.Flat_file entries in
+  let truncate_next_dump () =
+    match Genalg_fault.Fault.configure "source.s:truncate:times=1:frac=0.3" with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail e
+  in
+  Fun.protect ~finally:Genalg_fault.Fault.disable @@ fun () ->
+  truncate_next_dump ();
+  check Alcotest.bool "no monitor on a dump that does not parse" true
+    (Result.is_error (Monitor.create src));
+  let m = Result.get_ok (Monitor.create src) in
+  let victim = (List.nth entries 2).Entry.accession in
+  Source.apply src [ Source.Delete victim ];
+  truncate_next_dump ();
+  (match Monitor.poll m with
+  | Error _ -> ()
+  | Ok ds -> Alcotest.failf "a truncated dump polled %d deltas" (List.length ds));
+  let polls =
+    List.init 3 (fun _ ->
+        List.map
+          (fun (d : Delta.t) -> (Delta.kind d = Delta.Deletion, d.Delta.item))
+          (Result.get_ok (Monitor.poll m)))
+  in
+  check
+    Alcotest.(list (list (pair bool string)))
+    "deletion reported once, after the fault" [ [ (true, victim) ]; []; [] ] polls
+
+let test_pipeline_reports_unparsable_dump () =
+  let r = rng () in
+  let entries = repo ~size:6 r in
+  let src = Source.create ~name:"s" Source.Non_queryable Source.Flat_file entries in
+  let pl = Result.get_ok (Pipeline.create ~sources:[ src ] ()) in
+  ignore (Result.get_ok (Pipeline.bootstrap pl));
+  Source.apply src [ Source.Delete (List.hd entries).Entry.accession ];
+  Fun.protect ~finally:Genalg_fault.Fault.disable @@ fun () ->
+  ignore (Result.get_ok (Genalg_fault.Fault.configure "source.s:truncate:times=1:frac=0.3"));
+  let statuses () =
+    List.map
+      (fun (name, st) -> name ^ "=" ^ Pipeline.poll_status_to_string st)
+      (Pipeline.refresh_report pl).Pipeline.statuses
+  in
+  (match statuses () with
+  | [ st ] ->
+      check Alcotest.bool ("corrupt round fails: " ^ st) true
+        (String.starts_with ~prefix:"s=failed(" st)
+  | sts -> Alcotest.failf "statuses %s" (String.concat ", " sts));
+  check (Alcotest.list Alcotest.string) "next round applies the deletion" [ "s=polled(1)" ]
+    (statuses ());
+  check (Alcotest.list Alcotest.string) "then nothing" [ "s=polled(0)" ] (statuses ())
 
 let test_monitor_rejects_na_cell () =
   let r = rng () in
@@ -285,6 +341,68 @@ let test_kmer_similarity () =
   let r = rng () in
   let b = Genalg_synth.Seqgen.dna r 20 in
   check Alcotest.bool "random is dissimilar" true (Integrator.kmer_similarity a b < 0.5)
+
+(* The reference: Jaccard similarity of the sets of 8-letter substrings,
+   with the library's rule for sequences shorter than 8. *)
+let ref_kmer_similarity a b =
+  let k = 8 in
+  let set s =
+    let tbl = Hashtbl.create 64 in
+    for i = 0 to String.length s - k do
+      Hashtbl.replace tbl (String.sub s i k) ()
+    done;
+    tbl
+  in
+  if Sequence.length a < k || Sequence.length b < k then
+    if Sequence.equal a b then 1. else 0.
+  else begin
+    let sa = set (Sequence.to_string a) and sb = set (Sequence.to_string b) in
+    let inter = Hashtbl.fold (fun km () n -> if Hashtbl.mem sb km then n + 1 else n) sa 0 in
+    let union = Hashtbl.length sa + Hashtbl.length sb - inter in
+    if union = 0 then 1. else float_of_int inter /. float_of_int union
+  end
+
+let test_kmer_similarity_matches_reference () =
+  let r = Genalg_synth.Rng.make 1903 in
+  let module Rng = Genalg_synth.Rng in
+  let iupac = "ACGTRYSWKMBDHVN" in
+  let random_seq () =
+    let n = Rng.int r 300 in
+    if Rng.bool r 0.5 then Genalg_synth.Seqgen.dna r n
+    else Sequence.dna (String.init n (fun _ -> iupac.[Rng.int r (String.length iupac)]))
+  in
+  for case = 1 to 300 do
+    let a = random_seq () in
+    let b =
+      match case mod 3 with
+      | 0 -> random_seq ()
+      | 1 -> Genalg_synth.Seqgen.mutate r ~rate:0.05 a
+      | _ ->
+          let n = Sequence.length a in
+          let pos = if n = 0 then 0 else Rng.int r n in
+          Sequence.sub a ~pos ~len:(Rng.int r (n - pos + 1))
+    in
+    let got = Integrator.kmer_similarity a b and want = ref_kmer_similarity a b in
+    if got <> want then
+      Alcotest.failf "case %d: %s vs %s: %g, reference %g" case (Sequence.to_string a)
+        (Sequence.to_string b) got want
+  done;
+  (* bulk scoring reads precomputed k-mer sets: the same values *)
+  let repo_a, repo_b, _ =
+    Genalg_synth.Recordgen.overlapping_repositories r ~size:40 ~overlap:0.5
+      ~noise_fraction:0.45 ~error_rate:0.02 ()
+  in
+  let sourced = List.map (fun e -> ("A", e)) repo_a @ List.map (fun e -> ("B", e)) repo_b in
+  let found = Integrator.find_duplicates ~threshold:0.5 sourced in
+  check Alcotest.bool "duplicates found" true (found <> []);
+  List.iter
+    (fun ((_, (a : Entry.t)), (_, (b : Entry.t)), score) ->
+      let want =
+        (0.8 *. ref_kmer_similarity a.Entry.sequence b.Entry.sequence)
+        +. (0.2 *. Genalg_align.Distance.similarity a.Entry.definition b.Entry.definition)
+      in
+      check (Alcotest.float 0.) (a.Entry.accession ^ "/" ^ b.Entry.accession) want score)
+    found
 
 let test_find_duplicates_on_ground_truth () =
   let r = rng () in
@@ -468,6 +586,7 @@ let suites =
         tc "LCS diff detects" `Quick (monitor_detects Source.Non_queryable Source.Flat_file);
         tc "tree diff detects" `Quick (monitor_detects Source.Non_queryable Source.Hierarchical);
         tc "diff cost" `Quick test_monitor_diff_cost;
+        tc "unparsable dump defers deltas" `Quick test_monitor_corrupt_dump_defers_deltas;
         tc "rejects N/A cell" `Quick test_monitor_rejects_na_cell;
       ] );
     ( "etl.tree_diff",
@@ -486,6 +605,8 @@ let suites =
     ( "etl.integrator",
       [
         tc "kmer similarity" `Quick test_kmer_similarity;
+        tc "kmer similarity = string-set reference" `Quick
+          test_kmer_similarity_matches_reference;
         tc "duplicates vs ground truth" `Quick test_find_duplicates_on_ground_truth;
         tc "merge keeps conflicts" `Quick test_reconcile_merges_and_keeps_conflicts;
         tc "distinct stay apart" `Quick test_reconcile_keeps_distinct_entries_apart;
@@ -499,5 +620,6 @@ let suites =
       [
         tc "end to end" `Quick test_pipeline_end_to_end;
         tc "active source" `Quick test_pipeline_with_active_source;
+        tc "unparsable dump is a failed poll" `Quick test_pipeline_reports_unparsable_dump;
       ] );
   ]

@@ -465,6 +465,48 @@ let test_exec_count_allocation () =
     true
     (count < 10. *. scan)
 
+(* 20 000 rows in up to 5 000 two-column groups come out in
+   first-appearance order, with their counts, and the grouping allocates
+   within a constant factor of the plain scan: a search of the group list
+   per row would allocate O(rows x groups). *)
+let test_exec_group_by_many_groups () =
+  let db = Db.create () in
+  ignore (Result.get_ok (Exec.query db ~actor:"u" "CREATE TABLE g (k int, p int)"));
+  let t = Option.get (Db.find_table db ~space:(Db.User "u") "g") in
+  let rng = Genalg_synth.Rng.make 1803 in
+  let perm = Array.init 5000 Fun.id in
+  Genalg_synth.Rng.shuffle rng perm;
+  let keys = Array.init 20_000 (fun _ -> perm.(Genalg_synth.Rng.int rng 5000)) in
+  Array.iter (fun k -> ignore (Genalg_storage.Table.insert_exn t [| D.Int k; D.Int (k mod 3) |])) keys;
+  (* the reference: keys in first-appearance order, with their counts *)
+  let counts = Hashtbl.create 5000 and order = ref [] in
+  Array.iter
+    (fun k ->
+      match Hashtbl.find_opt counts k with
+      | Some n -> Hashtbl.replace counts k (n + 1)
+      | None ->
+          Hashtbl.add counts k 1;
+          order := k :: !order)
+    keys;
+  let expected =
+    List.rev_map (fun k -> [| D.Int k; D.Int (k mod 3); D.Int (Hashtbl.find counts k) |]) !order
+  in
+  let allocated sql =
+    let select = select_of sql in
+    let before = Gc.allocated_bytes () in
+    let rs = Result.get_ok (Exec.run_select db ~actor:"u" select) in
+    (Gc.allocated_bytes () -. before, rs.Exec.rows)
+  in
+  let scan, _ = allocated "SELECT k, p FROM g" in
+  let grouped, rows = allocated "SELECT k, p, count(*) FROM g GROUP BY k, p" in
+  check Alcotest.int "one row per key" (Hashtbl.length counts) (List.length rows);
+  check Alcotest.bool "groups in first-appearance order, with their counts" true
+    (rows = expected);
+  check Alcotest.bool
+    (Printf.sprintf "GROUP BY allocates %.0f B against %.0f B for the scan" grouped scan)
+    true
+    (grouped < 3. *. scan)
+
 (* ---- join strategies --------------------------------------------------- *)
 
 let join_fixture () =
@@ -669,6 +711,7 @@ let suites =
         tc "three-way join" `Quick test_exec_three_way_join;
         tc "aggregate over empty" `Quick test_exec_aggregate_empty;
         tc "count(*) allocation linear" `Quick test_exec_count_allocation;
+        tc "GROUP BY with many groups" `Quick test_exec_group_by_many_groups;
         tc "limit zero" `Quick test_exec_limit_zero;
         tc "render" `Quick test_render;
       ] );
