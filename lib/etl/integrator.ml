@@ -55,10 +55,15 @@ let jaccard a b =
   let union = la + lb - !inter in
   if union = 0 then 1. else float_of_int !inter /. float_of_int union
 
-let kmer_similarity a b =
+(* The similarity of two sequences given their [kmer_codes]. A sequence
+   shorter than [k] has no k-mers, so it scores 1 against an equal
+   sequence and 0 against any other. *)
+let similarity_of_codes a codes_a b codes_b =
   if Sequence.length a < k || Sequence.length b < k then
     (if Sequence.equal a b then 1. else 0.)
-  else jaccard (kmer_codes a) (kmer_codes b)
+  else jaccard codes_a codes_b
+
+let kmer_similarity a b = similarity_of_codes a (kmer_codes a) b (kmer_codes b)
 
 (* Score with optionally precomputed k-mer sets, so bulk reconciliation
    builds each entry's set once instead of once per candidate pair. *)
@@ -74,7 +79,7 @@ let pair_score_with ?sets (a : Entry.t) (b : Entry.t) =
     else begin
       let seq_sim =
         match sets with
-        | Some (sa, sb) -> jaccard sa sb
+        | Some (sa, sb) -> similarity_of_codes a.Entry.sequence sa b.Entry.sequence sb
         | None -> kmer_similarity a.Entry.sequence b.Entry.sequence
       in
       let def_sim =

@@ -10,7 +10,7 @@ let clamp lo hi x = if x < lo then lo else if x > hi then hi else x
 
 let seq_row = 1.0          (* decode one row during a heap scan *)
 let fetch_row = 1.6        (* fetch + decode one row through a rid *)
-let btree_probe = 12.0     (* descend a B-tree *)
+let btree_probe = 12.0     (* search a column index, a balanced ordered map *)
 let kmer_lookup = 4.0      (* one posting-list lookup *)
 let hash_build_row = 1.4
 let hash_probe_row = 0.9

@@ -67,10 +67,10 @@ val insert :
 
 val clone : t -> t
 (** A snapshot that shares every table copy-on-write ({!Table.share}),
-    in O(tables): rows, B-trees, genomic indexes, ANALYZE statistics and
-    grants carry over, and the UDT registry is shared, so the copy needs
-    no adapter attach. The first write to a table through either
-    database copies that table for the writer only. Starts with an empty
+    in O(tables): rows, column and genomic indexes, ANALYZE statistics
+    and grants carry over, and the UDT registry is shared, so the copy
+    needs no adapter attach. The first write to a table through either
+    database copies that table's heap spine for the writer only. Starts with an empty
     {!cache}. Transaction snapshots in the serve layer are made with
     this. *)
 
@@ -94,7 +94,7 @@ val load : string -> (t, string) result
 (** Restore a snapshot; runs {!recover} first, then verifies chunk
     checksums (counter [storage.recovery.checksum_failures] on
     mismatch). Files written by pre-checksum versions (bare [GENALGDB1]
-    bodies) still load. B-tree indexes are rebuilt. UDT registrations,
+    bodies) still load. Column indexes are rebuilt. UDT registrations,
     genomic (substring) indexes and ANALYZE statistics are in-memory
     only — re-attach the adapter and re-issue [CREATE GENOMIC INDEX] /
     [ANALYZE] after loading. *)

@@ -87,6 +87,12 @@ let compare_value a b =
       if c <> 0 then c else Bytes.compare px py
   | _ -> Int.compare (rank a) (rank b)
 
+module Value_map = Map.Make (struct
+  type t = value
+
+  let compare = compare_value
+end)
+
 (* --------------------------------------------------------------- *)
 (* Binary encoding: 1 tag byte, then a type-specific payload.       *)
 

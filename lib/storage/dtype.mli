@@ -41,6 +41,9 @@ val compare_value : value -> value -> int
 (** Total order used by indexes and ORDER BY: [Null] first, then by type;
     numeric values compare numerically across [Int]/[Float]. *)
 
+module Value_map : Map.S with type key = value
+(** Persistent maps ordered by {!compare_value}; a column index is one. *)
+
 val encode_value : Buffer.t -> value -> unit
 (** Append a self-describing binary encoding. *)
 

@@ -17,7 +17,9 @@ type t = {
 
 let tombstone = [| Dtype.Null |]
 let create () = { slots = [||]; n = 0; live = 0 }
-let copy t = { t with slots = Array.sub t.slots 0 t.n }
+(* the spare capacity is copied too, so an insert right after a copy
+   does not grow the spine again *)
+let copy t = { t with slots = Array.copy t.slots }
 let live_slot t rid = rid >= 0 && rid < t.n && t.slots.(rid) != tombstone
 
 let insert t row =

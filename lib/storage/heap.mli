@@ -12,7 +12,8 @@ val create : unit -> t
 
 val copy : t -> t
 (** A second heap with its own slot array over the same (immutable)
-    rows: O(slots), and writes to either side stay private to it. *)
+    rows: one pointer blit of the spine, O(slots), and writes to either
+    side stay private to it. *)
 
 val insert : t -> Dtype.value array -> rid
 (** Appends a new slot. *)

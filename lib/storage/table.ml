@@ -4,16 +4,21 @@ let c_rows_scanned = Obs.counter "storage.table.rows_scanned"
 let c_index_lookups = Obs.counter "storage.table.index_lookups"
 let c_genomic_searches = Obs.counter "storage.table.genomic_searches"
 
+module V = Dtype.Value_map
+module Smap = Map.Make (String)
+
 type t = {
   name : string;
   schema : Schema.t;
   mutable heap : Heap.t;
-  mutable indexes : (string, Btree.t) Hashtbl.t; (* lower-case column name -> index *)
-  mutable genomic : (string, int * Text_index.t) Hashtbl.t;
+  mutable indexes : (int * Heap.rid list V.t) Smap.t;
+      (* lower-case column name -> (column position, key -> rids, newest
+         first) *)
+  mutable genomic : (int * Text_index.t) Smap.t;
       (* lower-case column name -> (column position, k-mer postings) *)
   mutable shared : bool;
-      (* heap and indexes may belong to another handle too; [own]
-         copies them before this handle's first write *)
+      (* the heap may belong to another handle too; [own] copies it
+         before this handle's first write *)
   mutable pending_genomic : (string * int) list;
       (* (column, k) specs restored from an image, awaiting a UDT
          registry to backfill; see [rebuild_genomic_indexes] *)
@@ -40,8 +45,8 @@ and histogram = {
 }
 
 let create ~name schema =
-  { name; schema; heap = Heap.create (); indexes = Hashtbl.create 4;
-    genomic = Hashtbl.create 2; shared = false; pending_genomic = []; stats = None;
+  { name; schema; heap = Heap.create (); indexes = Smap.empty;
+    genomic = Smap.empty; shared = false; pending_genomic = []; stats = None;
     data_version = 0; schema_version = 0 }
 
 let name t = t.name
@@ -51,42 +56,43 @@ let schema_version t = t.schema_version
 let touch_data t = t.data_version <- t.data_version + 1
 let touch_schema t = t.schema_version <- t.schema_version + 1
 
-(* Rows are immutable once stored, so two handles may share a heap and
-   its indexes; the first write through a shared handle gives it
-   private copies. Statistics and pending genomic specs are replaced
-   wholesale, never mutated, so they need no copy. *)
+(* Rows are immutable once stored, so two handles may share a heap; the
+   first write through a shared handle gives it a private heap spine.
+   Indexes, statistics and pending genomic specs are replaced wholesale,
+   never mutated, so they need no copy. *)
 let share t =
   t.shared <- true;
   { t with shared = true }
 
 let own t =
   if t.shared then begin
-    let copy_all copy tbl =
-      let tbl = Hashtbl.copy tbl in
-      Hashtbl.filter_map_inplace (fun _ v -> Some (copy v)) tbl;
-      tbl
-    in
     t.heap <- Heap.copy t.heap;
-    t.indexes <- copy_all Btree.copy t.indexes;
-    t.genomic <- copy_all (fun (i, gidx) -> (i, Text_index.copy gidx)) t.genomic;
     t.shared <- false
   end
 
-let index_updates t row f =
-  Hashtbl.iter
-    (fun col idx ->
-      match Schema.column_index t.schema col with
-      | Some i -> f idx row.(i)
-      | None -> ())
-    t.indexes
+let index_add key rid idx =
+  V.update key (fun rids -> Some (rid :: Option.value rids ~default:[])) idx
 
-let genomic_updates t rid row f =
-  Hashtbl.iter
-    (fun _ (i, gidx) ->
-      match row.(i) with
-      | Dtype.Opaque (_, payload) -> f gidx rid payload
-      | Dtype.Null | Dtype.Bool _ | Dtype.Int _ | Dtype.Float _ | Dtype.Str _ -> ())
-    t.genomic
+let index_remove key rid idx =
+  V.update key
+    (function
+      | None -> None
+      | Some rids -> (
+          match List.filter (fun r -> r <> rid) rids with [] -> None | l -> Some l))
+    idx
+
+(* Replace every index by its version with [rid]'s [row] added or
+   removed. *)
+let reindex t rid row ~index ~text =
+  t.indexes <- Smap.map (fun (i, idx) -> (i, index row.(i) rid idx)) t.indexes;
+  t.genomic <-
+    Smap.map
+      (fun (i, gidx) ->
+        match row.(i) with
+        | Dtype.Opaque (_, payload) -> (i, text gidx rid payload)
+        | Dtype.Null | Dtype.Bool _ | Dtype.Int _ | Dtype.Float _ | Dtype.Str _ ->
+            (i, gidx))
+      t.genomic
 
 let insert t row =
   match Schema.validate_row t.schema row with
@@ -95,8 +101,7 @@ let insert t row =
       own t;
       let row = Array.copy row in
       let rid = Heap.insert t.heap row in
-      index_updates t row (fun idx key -> Btree.insert idx key rid);
-      genomic_updates t rid row Text_index.add;
+      reindex t rid row ~index:index_add ~text:Text_index.add;
       touch_data t;
       Ok rid
 
@@ -112,8 +117,7 @@ let delete t rid =
   | None -> false
   | Some row ->
       own t;
-      index_updates t row (fun idx key -> ignore (Btree.remove idx key rid));
-      genomic_updates t rid row Text_index.remove;
+      reindex t rid row ~index:index_remove ~text:Text_index.remove;
       let ok = Heap.delete t.heap rid in
       if ok then touch_data t;
       ok
@@ -127,11 +131,9 @@ let update t rid row =
       | Some old_row ->
           own t;
           let row = Array.copy row in
-          index_updates t old_row (fun idx key -> ignore (Btree.remove idx key rid));
-          genomic_updates t rid old_row Text_index.remove;
+          reindex t rid old_row ~index:index_remove ~text:Text_index.remove;
           ignore (Heap.update t.heap rid row : bool);
-          index_updates t row (fun idx key -> Btree.insert idx key rid);
-          genomic_updates t rid row Text_index.add;
+          reindex t rid row ~index:index_add ~text:Text_index.add;
           touch_data t;
           Ok rid)
 
@@ -151,36 +153,50 @@ let create_index t ~column =
   match Schema.column_index t.schema col with
   | None -> Error (Printf.sprintf "no column %s in table %s" column t.name)
   | Some i ->
-      if Hashtbl.mem t.indexes col then
+      if Smap.mem col t.indexes then
         Error (Printf.sprintf "index on %s.%s already exists" t.name column)
       else begin
-        own t;
-        let idx = Btree.create () in
-        scan t (fun rid row -> Btree.insert idx row.(i) rid);
-        Hashtbl.add t.indexes col idx;
+        let idx = ref V.empty in
+        scan t (fun rid row -> idx := index_add row.(i) rid !idx);
+        t.indexes <- Smap.add col (i, !idx) t.indexes;
         touch_schema t;
         Ok ()
       end
 
-let has_index t ~column = Hashtbl.mem t.indexes (String.lowercase_ascii column)
+let has_index t ~column = Smap.mem (String.lowercase_ascii column) t.indexes
+let indexed_columns t = List.map fst (Smap.bindings t.indexes)
 
-let indexed_columns t =
-  Hashtbl.fold (fun col _ acc -> col :: acc) t.indexes []
-  |> List.sort String.compare
+let find_index t ~column =
+  Option.map
+    (fun (_, idx) ->
+      Obs.add c_index_lookups 1;
+      idx)
+    (Smap.find_opt (String.lowercase_ascii column) t.indexes)
 
+(* postings are kept newest first; lookups answer in insertion order *)
 let index_lookup t ~column key =
   Option.map
-    (fun idx ->
-      Obs.add c_index_lookups 1;
-      Btree.find idx key)
-    (Hashtbl.find_opt t.indexes (String.lowercase_ascii column))
+    (fun idx -> List.rev (Option.value (V.find_opt key idx) ~default:[]))
+    (find_index t ~column)
 
-let index_range t ~column ?lo ?hi ?lo_inclusive ?hi_inclusive () =
+(* The keys in range are cut out of the index by two [split]s, O(log n),
+   and then folded, so a range costs its size, not the index's. *)
+let index_range t ~column ?lo ?hi ?(lo_inclusive = true) ?(hi_inclusive = true) () =
+  let cut bound inclusive side idx =
+    match bound with
+    | None -> idx
+    | Some key -> (
+        let below, at, above = V.split key idx in
+        let kept = side (below, above) in
+        match at with Some rids when inclusive -> V.add key rids kept | _ -> kept)
+  in
   Option.map
     (fun idx ->
-      Obs.add c_index_lookups 1;
-      List.concat_map snd (Btree.range ?lo ?hi ?lo_inclusive ?hi_inclusive idx))
-    (Hashtbl.find_opt t.indexes (String.lowercase_ascii column))
+      idx
+      |> cut lo lo_inclusive snd
+      |> cut hi hi_inclusive fst
+      |> fun range -> List.rev (V.fold (fun _ rids acc -> rids @ acc) range []))
+    (find_index t ~column)
 
 (* ---- statistics (paper 6.5) --------------------------------------- *)
 
@@ -287,7 +303,7 @@ let create_genomic_index ?k t ~column ~registry =
   match Schema.column_index t.schema col with
   | None -> Error (Printf.sprintf "no column %s in table %s" column t.name)
   | Some i -> (
-      if Hashtbl.mem t.genomic col then
+      if Smap.mem col t.genomic then
         Error (Printf.sprintf "genomic index on %s.%s already exists" t.name column)
       else
         match (Schema.column t.schema i).Schema.dtype with
@@ -303,15 +319,15 @@ let create_genomic_index ?k t ~column ~registry =
                       (Printf.sprintf "UDT %s does not support substring search"
                          type_name)
                 | Some support ->
-                    own t;
-                    let gidx = Text_index.create ?k support in
+                    let records = ref [] in
                     scan t (fun rid row ->
                         match row.(i) with
-                        | Dtype.Opaque (_, payload) -> Text_index.add gidx rid payload
+                        | Dtype.Opaque (_, payload) -> records := (rid, payload) :: !records
                         | Dtype.Null | Dtype.Bool _ | Dtype.Int _ | Dtype.Float _
                         | Dtype.Str _ ->
                             ());
-                    Hashtbl.add t.genomic col (i, gidx);
+                    let gidx = Text_index.add_many (Text_index.create ?k support) !records in
+                    t.genomic <- Smap.add col (i, gidx) t.genomic;
                     touch_schema t;
                     Ok ())))
 
@@ -324,12 +340,10 @@ let create_genomic_index ?k t ~column ~registry =
 
 let genomic_specs t =
   let live =
-    Hashtbl.fold
-      (fun col (_, gidx) acc -> (col, Text_index.k gidx) :: acc)
-      t.genomic []
+    Smap.fold (fun col (_, gidx) acc -> (col, Text_index.k gidx) :: acc) t.genomic []
   in
   let pending =
-    List.filter (fun (col, _) -> not (Hashtbl.mem t.genomic col))
+    List.filter (fun (col, _) -> not (Smap.mem col t.genomic))
       t.pending_genomic
   in
   List.sort compare (live @ pending)
@@ -342,28 +356,24 @@ let rebuild_genomic_indexes t ~registry =
   t.pending_genomic <-
     List.filter
       (fun (col, k) ->
-        if Hashtbl.mem t.genomic col then false
+        if Smap.mem col t.genomic then false
         else
           match create_genomic_index ~k t ~column:col ~registry with
           | Ok () -> false
           | Error _ -> true (* e.g. UDT not registered yet: stay pending *))
       t.pending_genomic
 
-let has_genomic_index t ~column =
-  Hashtbl.mem t.genomic (String.lowercase_ascii column)
+let find_genomic t ~column = Smap.find_opt (String.lowercase_ascii column) t.genomic
+let has_genomic_index t ~column = Option.is_some (find_genomic t ~column)
 
 let genomic_k t ~column =
-  Option.map
-    (fun (_, gidx) -> Text_index.k gidx)
-    (Hashtbl.find_opt t.genomic (String.lowercase_ascii column))
+  Option.map (fun (_, gidx) -> Text_index.k gidx) (find_genomic t ~column)
 
 let genomic_mean_len t ~column =
-  Option.bind
-    (Hashtbl.find_opt t.genomic (String.lowercase_ascii column))
-    (fun (_, gidx) -> Text_index.mean_len gidx)
+  Option.bind (find_genomic t ~column) (fun (_, gidx) -> Text_index.mean_len gidx)
 
 let genomic_search t ~column ~pattern =
-  match Hashtbl.find_opt t.genomic (String.lowercase_ascii column) with
+  match find_genomic t ~column with
   | None -> `No_index
   | Some (i, gidx) -> (
       Obs.add c_genomic_searches 1;
@@ -381,7 +391,7 @@ let genomic_search t ~column ~pattern =
       | Some rids -> `Hits rids)
 
 let genomic_seed t ~column ~pattern ~min_len =
-  match Hashtbl.find_opt t.genomic (String.lowercase_ascii column) with
+  match find_genomic t ~column with
   | None -> `No_index
   | Some (_, gidx) -> (
       Obs.add c_genomic_searches 1;

@@ -1,4 +1,6 @@
-(** Tables: a schema, a heap file, and optional B-tree secondary indexes.
+(** Tables: a schema, a heap file, and optional secondary indexes:
+    column indexes (persistent ordered maps from key to rids) and
+    genomic k-mer indexes.
 
     Stored rows are immutable. {!get}, {!scan} and {!fold} hand out the
     stored array itself, shared with the table and with every {!share}d
@@ -12,13 +14,14 @@ val name : t -> string
 val schema : t -> Schema.t
 
 val share : t -> t
-(** A second handle on the same heap, B-trees and genomic indexes, in
-    O(1). Both handles are marked shared; the first mutation through
-    either ({!insert}, {!delete}, {!update}, {!create_index},
-    {!create_genomic_index}) first copies that handle's heap spine and
-    indexes, so neither handle ever observes the other's writes.
-    Statistics, pending genomic specs and version counters carry
-    over. *)
+(** A second handle on the same heap, column indexes and genomic
+    indexes, in O(1). Both handles are marked shared; the first row
+    write through either ({!insert}, {!delete}, {!update}) first copies
+    that handle's heap spine, one pointer per row slot, so neither
+    handle ever observes the other's writes. The indexes are persistent
+    values that each write replaces in its own handle, so they are
+    never copied. Statistics, pending genomic specs and version counters
+    carry over. *)
 
 val insert : t -> Dtype.value array -> (Heap.rid, string) result
 (** Validates against the schema, stores a copy of the row, and
@@ -57,7 +60,7 @@ val schema_version : t -> int
     {!create_genomic_index}, {!analyze}. *)
 
 val create_index : t -> column:string -> (unit, string) result
-(** Build a B-tree over an existing column (backfilled from the heap).
+(** Build an index over an existing column (backfilled from the heap).
     Fails for unknown columns or when an index already exists. *)
 
 val has_index : t -> column:string -> bool

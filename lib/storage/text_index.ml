@@ -1,20 +1,30 @@
 module Obs = Genalg_obs.Obs
 module Search = Genalg_seqindex.Search
 module Suffix_array = Genalg_seqindex.Suffix_array
+module Int_map = Map.Make (Int)
+module Int_set = Set.Make (Int)
 
 let c_candidates = Obs.counter "storage.text_index.candidates"
 let c_verified = Obs.counter "storage.text_index.verified"
 let c_seed_candidates = Obs.counter "storage.text_index.seed_candidates"
 let c_exact_verifies = Obs.counter "storage.text_index.exact_verifies"
+
+(* A persistent value: [add_many] and [remove] return a new index and
+   leave the old one intact, so table handles sharing a version need no
+   copy. Only [sa_cache] is mutable; every version derived from one
+   [create] shares it, and an entry serves only the payload it was
+   built from. *)
 type t = {
   k : int;
   support : Udt.search_support;
-  postings : (int, Heap.rid list ref) Hashtbl.t; (* packed k-mer -> rids *)
-  always : (Heap.rid, unit) Hashtbl.t;           (* ambiguous payloads *)
-  lengths : (Heap.rid, int) Hashtbl.t;           (* index-text lengths *)
-  sa_cache : (Heap.rid, Suffix_array.t) Hashtbl.t;
-      (* lazily-built suffix arrays over long record texts *)
-  mutable count : int;
+  postings : Heap.rid list Int_map.t; (* packed k-mer -> rids *)
+  always : Int_set.t;                 (* ambiguous payloads *)
+  lengths : int Int_map.t;            (* rid -> index-text length *)
+  texts : int;                        (* bindings in [lengths] *)
+  total_len : int;                    (* sum of [lengths] *)
+  sa_cache : (Heap.rid, bytes * Suffix_array.t) Hashtbl.t;
+      (* lazily-built suffix arrays over long record texts, each with
+         the payload (compared by [==]) it was built from *)
 }
 
 (* records at least this long get a cached suffix array instead of
@@ -24,26 +34,14 @@ let sa_cache_cap = 64
 
 let create ?(k = 8) support =
   if k < 2 || k > 31 then invalid_arg "Text_index.create: k must be in [2, 31]";
-  { k; support; postings = Hashtbl.create 1024; always = Hashtbl.create 16;
-    lengths = Hashtbl.create 64; sa_cache = Hashtbl.create 8; count = 0 }
-
-let copy t =
-  let postings = Hashtbl.create (max 1024 (Hashtbl.length t.postings)) in
-  Hashtbl.iter (fun kmer cell -> Hashtbl.add postings kmer (ref !cell)) t.postings;
-  { t with postings; always = Hashtbl.copy t.always;
-    lengths = Hashtbl.copy t.lengths; sa_cache = Hashtbl.copy t.sa_cache }
+  { k; support; postings = Int_map.empty; always = Int_set.empty;
+    lengths = Int_map.empty; texts = 0; total_len = 0; sa_cache = Hashtbl.create 8 }
 
 let k t = t.k
-let indexed_records t = t.count
-let distinct_kmers t = Hashtbl.length t.postings
 
 let mean_len t =
-  let n = Hashtbl.length t.lengths in
-  if n = 0 then None
-  else
-    Some
-      (float_of_int (Hashtbl.fold (fun _ l acc -> acc + l) t.lengths 0)
-      /. float_of_int n)
+  if t.texts = 0 then None
+  else Some (float_of_int t.total_len /. float_of_int t.texts)
 
 let code = function
   | 'A' | 'a' -> 0
@@ -52,61 +50,92 @@ let code = function
   | 'T' | 't' -> 3
   | _ -> -1
 
-(* distinct packed k-mers of [text]; k-mers spanning a non-ACGT letter
-   are skipped and reported through [saw_other]. *)
-let kmers_of t text =
-  let n = String.length text in
+(* Calls [f] on every packed k-mer of [text], repeats included. K-mers
+   spanning a non-ACGT letter are skipped; the result tells whether
+   there was one. *)
+let iter_kmers t text f =
   let mask = (1 lsl (2 * t.k)) - 1 in
-  let seen = Hashtbl.create (max 16 n) in
-  let hash = ref 0 and valid = ref 0 in
-  let saw_other = ref false in
-  for i = 0 to n - 1 do
-    let c = code text.[i] in
-    if c < 0 then begin
-      saw_other := true;
-      valid := 0;
-      hash := 0
-    end
-    else begin
-      hash := ((!hash lsl 2) lor c) land mask;
-      incr valid;
-      if !valid >= t.k then Hashtbl.replace seen !hash ()
-    end
-  done;
-  (seen, !saw_other)
+  let hash = ref 0 and valid = ref 0 and saw_other = ref false in
+  String.iter
+    (fun ch ->
+      let c = code ch in
+      if c < 0 then begin
+        saw_other := true;
+        valid := 0;
+        hash := 0
+      end
+      else begin
+        hash := ((!hash lsl 2) lor c) land mask;
+        incr valid;
+        if !valid >= t.k then f !hash
+      end)
+    text;
+  !saw_other
 
-let add t rid payload =
-  t.count <- t.count + 1;
-  Hashtbl.remove t.sa_cache rid;
-  match t.support.Udt.index_text payload with
-  | `Always_candidate -> Hashtbl.replace t.always rid ()
-  | `Text text ->
-      Hashtbl.replace t.lengths rid (String.length text);
-      let seen, saw_other = kmers_of t text in
-      (* ambiguity letters make exact k-mers incomplete for this record *)
-      if saw_other then Hashtbl.replace t.always rid ();
-      Hashtbl.iter
-        (fun kmer () ->
-          match Hashtbl.find_opt t.postings kmer with
-          | Some cell -> cell := rid :: !cell
-          | None -> Hashtbl.add t.postings kmer (ref [ rid ]))
-        seen
+let add_many t records =
+  (* the new rids grouped by k-mer, so each distinct k-mer costs one
+     [Int_map.update] however many records share it; records run one
+     after another, so a repeat within a record finds its rid on top *)
+  let fresh = Hashtbl.create 256 in
+  let note rid kmer =
+    match Hashtbl.find_opt fresh kmer with
+    | None -> Hashtbl.add fresh kmer (ref [ rid ])
+    | Some cell -> (
+        match !cell with r :: _ when r = rid -> () | rids -> cell := rid :: rids)
+  in
+  let t =
+    List.fold_left
+      (fun t (rid, payload) ->
+        match t.support.Udt.index_text payload with
+        | `Always_candidate -> { t with always = Int_set.add rid t.always }
+        | `Text text ->
+            let len = String.length text in
+            (* ambiguity letters make exact k-mers incomplete for this record *)
+            let saw_other = iter_kmers t text (note rid) in
+            { t with
+              always = (if saw_other then Int_set.add rid t.always else t.always);
+              lengths = Int_map.add rid len t.lengths;
+              texts = t.texts + 1;
+              total_len = t.total_len + len })
+      t records
+  in
+  let postings =
+    Hashtbl.fold
+      (fun kmer cell postings ->
+        Int_map.update kmer
+          (function None -> Some !cell | Some old -> Some (List.rev_append !cell old))
+          postings)
+      fresh t.postings
+  in
+  { t with postings }
+
+let add t rid payload = add_many t [ (rid, payload) ]
 
 let remove t rid payload =
-  t.count <- max 0 (t.count - 1);
-  Hashtbl.remove t.always rid;
-  Hashtbl.remove t.lengths rid;
-  Hashtbl.remove t.sa_cache rid;
+  let t = { t with always = Int_set.remove rid t.always } in
+  let t =
+    match Int_map.find_opt rid t.lengths with
+    | None -> t
+    | Some len ->
+        { t with lengths = Int_map.remove rid t.lengths; texts = t.texts - 1;
+          total_len = t.total_len - len }
+  in
   match t.support.Udt.index_text payload with
-  | `Always_candidate -> ()
+  | `Always_candidate -> t
   | `Text text ->
-      let seen, _ = kmers_of t text in
-      Hashtbl.iter
-        (fun kmer () ->
-          match Hashtbl.find_opt t.postings kmer with
-          | Some cell -> cell := List.filter (fun r -> r <> rid) !cell
-          | None -> ())
-        seen
+      let kmers = ref [] in
+      ignore (iter_kmers t text (fun kmer -> kmers := kmer :: !kmers) : bool);
+      let drop = function
+        | None -> None
+        | Some rids -> (
+            match List.filter (fun r -> r <> rid) rids with [] -> None | l -> Some l)
+      in
+      let postings =
+        List.fold_left
+          (fun postings kmer -> Int_map.update kmer drop postings)
+          t.postings (List.sort_uniq Int.compare !kmers)
+      in
+      { t with postings }
 
 let pack_first t pattern =
   if String.length pattern < t.k then None
@@ -124,15 +153,8 @@ let candidates t ~pattern =
   match pack_first t pattern with
   | None -> None
   | Some kmer ->
-      let hits =
-        match Hashtbl.find_opt t.postings kmer with
-        | Some cell -> !cell
-        | None -> []
-      in
-      let with_always =
-        Hashtbl.fold (fun rid () acc -> rid :: acc) t.always hits
-      in
-      let out = List.sort_uniq compare with_always in
+      let hits = Option.value (Int_map.find_opt kmer t.postings) ~default:[] in
+      let out = List.sort_uniq Int.compare (Int_set.fold List.cons t.always hits) in
       Obs.add c_candidates (List.length out);
       Some out
 
@@ -154,34 +176,36 @@ let seed_candidates t ~pattern ~min_len =
     for i = 0 to n - 1 do
       hash := ((!hash lsl 2) lor code pattern.[i]) land mask;
       if i >= t.k - 1 then
-        match Hashtbl.find_opt t.postings !hash with
-        | Some cell -> List.iter (fun rid -> Hashtbl.replace acc rid ()) !cell
+        match Int_map.find_opt !hash t.postings with
+        | Some rids -> List.iter (fun rid -> Hashtbl.replace acc rid ()) rids
         | None -> ()
     done;
-    Hashtbl.iter (fun rid () -> Hashtbl.replace acc rid ()) t.always;
+    Int_set.iter (fun rid -> Hashtbl.replace acc rid ()) t.always;
     (* rows shorter than [min_len] fall below the guaranteed shared-run
        length, so the k-mer filter cannot rule them out *)
-    Hashtbl.iter
+    Int_map.iter
       (fun rid len -> if len < min_len then Hashtbl.replace acc rid ())
       t.lengths;
-    let out = Hashtbl.fold (fun rid () l -> rid :: l) acc [] |> List.sort compare in
+    let out = Hashtbl.fold (fun rid () l -> rid :: l) acc [] |> List.sort Int.compare in
     Obs.add c_seed_candidates (List.length out);
     Some out
   end
 
 (* exact containment for pure-ACGT pattern and text: Horspool for short
    records, a cached suffix array for long ones (section 6.5's index
-   structures, via lib/seqindex) *)
-let exact_contains t rid text ~pattern =
+   structures, via lib/seqindex). A cached array built from another
+   payload under the same rid, say another handle's version of an
+   updated row, is rebuilt. *)
+let exact_contains t rid payload text ~pattern =
   Obs.add c_exact_verifies 1;
   if String.length text >= sa_threshold then begin
     let sa =
       match Hashtbl.find_opt t.sa_cache rid with
-      | Some sa -> sa
-      | None ->
+      | Some (built_from, sa) when built_from == payload -> sa
+      | stale ->
           let sa = Suffix_array.build text in
-          if Hashtbl.length t.sa_cache < sa_cache_cap then
-            Hashtbl.add t.sa_cache rid sa;
+          if Option.is_some stale || Hashtbl.length t.sa_cache < sa_cache_cap then
+            Hashtbl.replace t.sa_cache rid (payload, sa);
           sa
     in
     Suffix_array.contains sa pattern
@@ -203,10 +227,10 @@ let search t ~pattern ~payload_of =
             match payload_of rid with
             | None -> false
             | Some payload ->
-                if exact_ok && not (Hashtbl.mem t.always rid) then
+                if exact_ok && not (Int_set.mem rid t.always) then
                   match t.support.Udt.index_text payload with
                   | `Text text ->
-                      exact_contains t rid (String.uppercase_ascii text)
+                      exact_contains t rid payload (String.uppercase_ascii text)
                         ~pattern:up
                   | `Always_candidate -> t.support.Udt.matches payload ~pattern
                 else t.support.Udt.matches payload ~pattern)

@@ -5,23 +5,27 @@
     text; a containment query looks up the pattern's first k-mer, unions
     in the always-candidate records, and verifies every candidate with
     the type's authoritative matcher. Postings are maintained on insert
-    and delete, so results are exact at all times. *)
+    and delete, so results are exact at all times.
+
+    An index is a persistent value: {!add_many}, {!add} and {!remove}
+    return a new index and leave their argument unchanged, so any
+    number of table versions may hold one without copying it. *)
 
 type t
 
 val create : ?k:int -> Udt.search_support -> t
 (** Default k = 8. Raises [Invalid_argument] when k is outside [2, 31]. *)
 
-val copy : t -> t
-(** An independent index with the same postings: [add] and [remove] on
-    either side are invisible to the other. *)
-
 val k : t -> int
 
-val add : t -> Heap.rid -> bytes -> unit
-(** Index one record's payload. *)
+val add_many : t -> (Heap.rid * bytes) list -> t
+(** Index records' payloads. The records' k-mers are grouped first, so
+    a bulk build updates each distinct k-mer once. *)
 
-val remove : t -> Heap.rid -> bytes -> unit
+val add : t -> Heap.rid -> bytes -> t
+(** [add_many] of one record. *)
+
+val remove : t -> Heap.rid -> bytes -> t
 (** Drop one record's postings (pass the payload it was indexed with). *)
 
 val candidates : t -> pattern:string -> Heap.rid list option
@@ -45,11 +49,10 @@ val search :
     (Boyer–Moore–Horspool, or a cached suffix array for records of
     ≥ 4096 letters); ambiguous ones through the type's authoritative
     [matches]. Records whose payload can no longer be fetched are
-    dropped. *)
-
-val indexed_records : t -> int
-val distinct_kmers : t -> int
+    dropped. The suffix-array cache is shared by every version of the
+    index; an entry answers only for the payload, compared by physical
+    identity, that it was built from. *)
 
 val mean_len : t -> float option
-(** Mean length of the indexed texts, or [None] when the index is empty.
-    Feeds the planner's k-mer candidate-fraction model. *)
+(** Mean length of the indexed texts, or [None] when the index is empty;
+    O(1). Feeds the planner's k-mer candidate-fraction model. *)

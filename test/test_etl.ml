@@ -452,6 +452,20 @@ let test_reconcile_merges_and_keeps_conflicts () =
     check Alcotest.int "both alternatives kept" 2 (Uncertain.cardinal m.Integrator.sequence)
   end
 
+(* Sequences shorter than the k-mer length have no k-mers: bulk scoring
+   must not call two different ones identical. *)
+let test_short_sequences_are_not_duplicates () =
+  let e = List.hd (repo ~size:1 ~prefix:"SH" (rng ())) in
+  let a = { e with Entry.sequence = Sequence.dna "ACGTA" }
+  and b = { e with Entry.accession = "SHCOPY"; sequence = Sequence.dna "TTTTT" } in
+  let want = Integrator.pair_score a b in
+  check (Alcotest.float 1e-9) "pair score: definitions only" 0.2 want;
+  (match Integrator.find_duplicates ~threshold:0. [ ("A", a); ("B", b) ] with
+  | [ (_, _, score) ] -> check (Alcotest.float 0.) "find_duplicates = pair_score" want score
+  | found -> Alcotest.failf "expected one scored pair, got %d" (List.length found));
+  check Alcotest.int "two clusters" 2
+    (List.length (Integrator.reconcile [ ("A", a); ("B", b) ]))
+
 let test_reconcile_keeps_distinct_entries_apart () =
   let r = rng () in
   let entries = repo ~size:10 r in
@@ -610,6 +624,8 @@ let suites =
         tc "duplicates vs ground truth" `Quick test_find_duplicates_on_ground_truth;
         tc "merge keeps conflicts" `Quick test_reconcile_merges_and_keeps_conflicts;
         tc "distinct stay apart" `Quick test_reconcile_keeps_distinct_entries_apart;
+        tc "short sequences are not duplicates" `Quick
+          test_short_sequences_are_not_duplicates;
       ] );
     ( "etl.loader",
       [

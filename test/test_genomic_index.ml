@@ -29,9 +29,9 @@ let dna_support () =
 
 let test_text_index_basics () =
   let idx = Text_index.create ~k:4 (dna_support ()) in
-  Text_index.add idx 1 (dna_payload "AAACGTACGTAAA");
-  Text_index.add idx 2 (dna_payload "GGGGGGGGGGGG");
-  Text_index.add idx 3 (dna_payload "TTACGTTT");
+  let idx = Text_index.add idx 1 (dna_payload "AAACGTACGTAAA") in
+  let idx = Text_index.add idx 2 (dna_payload "GGGGGGGGGGGG") in
+  let idx = Text_index.add idx 3 (dna_payload "TTACGTTT") in
   let payloads =
     [ (1, dna_payload "AAACGTACGTAAA"); (2, dna_payload "GGGGGGGGGGGG");
       (3, dna_payload "TTACGTTT") ]
@@ -51,19 +51,25 @@ let test_text_index_basics () =
     (Text_index.search idx ~pattern:"AC" ~payload_of = None)
 
 let test_text_index_remove () =
-  let idx = Text_index.create ~k:4 (dna_support ()) in
+  let empty = Text_index.create ~k:4 (dna_support ()) in
   let p = dna_payload "ACGTACGT" in
-  Text_index.add idx 1 p;
-  Text_index.remove idx 1 p;
-  match Text_index.search idx ~pattern:"ACGT" ~payload_of:(fun _ -> Some p) with
+  let added = Text_index.add empty 1 p in
+  let removed = Text_index.remove added 1 p in
+  let search idx = Text_index.search idx ~pattern:"ACGT" ~payload_of:(fun _ -> Some p) in
+  (match search removed with
   | Some [] -> ()
-  | _ -> Alcotest.fail "removed record still matches"
+  | _ -> Alcotest.fail "removed record still matches");
+  (* each version stays as it was made *)
+  check Alcotest.(option (list int)) "added version keeps the record" (Some [ 1 ])
+    (search added);
+  check Alcotest.(option (list int)) "empty version stays empty" (Some [])
+    (search empty)
 
 let test_text_index_ambiguous_rows () =
   (* a row with an N is an always-candidate: IUPAC matching stays exact *)
   let idx = Text_index.create ~k:4 (dna_support ()) in
   let amb = dna_payload "NNNNNNNN" in
-  Text_index.add idx 9 amb;
+  let idx = Text_index.add idx 9 amb in
   let payload_of r = if r = 9 then Some amb else None in
   match Text_index.search idx ~pattern:"ACGT" ~payload_of with
   | Some [ r ] ->
@@ -72,6 +78,47 @@ let test_text_index_ambiguous_rows () =
   | other ->
       Alcotest.failf "expected the ambiguous row to match, got %s"
         (match other with None -> "None" | Some l -> string_of_int (List.length l))
+
+(* One bulk [add_many] and one [add] per record build indexes that
+   answer alike: same candidates, seed candidates and mean length. *)
+let test_text_index_bulk_equals_incremental () =
+  let rng = Genalg_synth.Rng.make 77 in
+  let support = dna_support () in
+  let texts =
+    List.init 300 (fun i ->
+        let s = Genalg_synth.Seqgen.dna_string rng (Genalg_synth.Rng.int rng 300) in
+        (* every 7th record is ambiguous: an always-candidate *)
+        if i mod 7 = 0 && s <> "" then "N" ^ s else s)
+  in
+  let records = List.mapi (fun rid s -> (rid, dna_payload s)) texts in
+  List.iter
+    (fun k ->
+      let bulk = Text_index.add_many (Text_index.create ~k support) records in
+      let one_by_one =
+        List.fold_left
+          (fun idx (rid, p) -> Text_index.add idx rid p)
+          (Text_index.create ~k support) records
+      in
+      check Alcotest.(option (float 0.)) "mean length" (Text_index.mean_len one_by_one)
+        (Text_index.mean_len bulk);
+      for i = 0 to 199 do
+        let pattern =
+          if i mod 2 = 0 then Genalg_synth.Seqgen.dna_string rng (k + Genalg_synth.Rng.int rng 20)
+          else
+            let s = List.nth texts (Genalg_synth.Rng.int rng 300) in
+            let len = min (String.length s) (k + Genalg_synth.Rng.int rng 20) in
+            String.sub s (String.length s - len) len
+        in
+        let min_len = Genalg_synth.Rng.int rng 200 in
+        let name what = Printf.sprintf "k=%d %s %s" k what pattern in
+        check Alcotest.(option (list int)) (name "candidates")
+          (Text_index.candidates one_by_one ~pattern)
+          (Text_index.candidates bulk ~pattern);
+        check Alcotest.(option (list int)) (name "seed candidates")
+          (Text_index.seed_candidates one_by_one ~pattern ~min_len)
+          (Text_index.seed_candidates bulk ~pattern ~min_len)
+      done)
+    [ 4; 8 ]
 
 (* ---- Table-level ------------------------------------------------------- *)
 
@@ -122,6 +169,32 @@ let test_table_genomic_index () =
   match Table.genomic_search table ~column:"seq" ~pattern:"ACGT" with
   | `Unsupported_pattern -> ()
   | _ -> Alcotest.fail "short pattern should be unsupported"
+
+(* The suffix-array cache is shared by every version of an index; after
+   one handle rewrites a long row, each handle still answers [contains]
+   from its own text. *)
+let test_suffix_array_cache_per_handle () =
+  let db, a = table_fixture () in
+  let rng = Genalg_synth.Rng.make 11 in
+  let old_text = Genalg_synth.Seqgen.dna_string rng 5000 in
+  let new_text = Genalg_synth.Seqgen.dna_string rng 5000 in
+  let rid = Table.insert_exn a [| D.Int 1; D.Opaque ("dna", dna_payload old_text) |] in
+  ignore (Table.create_genomic_index a ~column:"seq" ~registry:(Db.udts db));
+  let old_pattern = String.sub old_text 1000 24 and new_pattern = String.sub new_text 3000 24 in
+  let hits t pattern =
+    match Table.genomic_search t ~column:"seq" ~pattern with
+    | `Hits rids -> rids
+    | `No_index | `Unsupported_pattern -> Alcotest.fail "index cannot serve the pattern"
+  in
+  let expect name t pattern want = check Alcotest.(list int) name want (hits t pattern) in
+  expect "before the update" a old_pattern [ rid ];
+  let b = Table.share a in
+  ignore (Result.get_ok (Table.update b rid [| D.Int 1; D.Opaque ("dna", dna_payload new_text) |]));
+  expect "b sees its new text" b new_pattern [ rid ];
+  expect "b lost its old text" b old_pattern [];
+  expect "a keeps its old text" a old_pattern [ rid ];
+  expect "a never saw the new text" a new_pattern [];
+  expect "b again" b new_pattern [ rid ]
 
 (* ---- SQL level ----------------------------------------------------------- *)
 
@@ -236,9 +309,15 @@ let suites =
         tc "basics" `Quick test_text_index_basics;
         tc "remove" `Quick test_text_index_remove;
         tc "ambiguous rows" `Quick test_text_index_ambiguous_rows;
+        tc "bulk build equals record by record" `Quick
+          test_text_index_bulk_equals_incremental;
       ] );
     ( "genomic_index.table",
-      [ tc "create/search/maintain" `Quick test_table_genomic_index ] );
+      [
+        tc "create/search/maintain" `Quick test_table_genomic_index;
+        tc "suffix-array cache answers each handle from its own text" `Quick
+          test_suffix_array_cache_per_handle;
+      ] );
     ( "genomic_index.sql",
       [
         tc "scan/index equivalence" `Quick test_sql_genomic_index_equivalence;

@@ -396,20 +396,24 @@ let storage_props =
     qtest "btree agrees with an association-list model"
       Q.Gen.(list_size (int_bound 300) (pair (int_bound 50) (int_bound 1000)))
       (fun pairs ->
-        let module Bt = Genalg_storage.Btree in
         let module D = Genalg_storage.Dtype in
-        let t = Bt.create () in
+        let module Table = Genalg_storage.Table in
+        let t =
+          Table.create ~name:"t"
+            (Genalg_storage.Schema.make_exn
+               [ { Genalg_storage.Schema.name = "k"; dtype = D.TInt; nullable = false } ])
+        in
+        ignore (Table.create_index t ~column:"k");
         let model = Hashtbl.create 16 in
-        List.iteri
-          (fun i (k, _) ->
-            let rid = i in
-            Bt.insert t (D.Int k) rid;
+        List.iter
+          (fun (k, _) ->
+            let rid = Table.insert_exn t [| D.Int k |] in
             Hashtbl.replace model k
               (rid :: Option.value (Hashtbl.find_opt model k) ~default:[]))
           pairs;
         Hashtbl.fold
           (fun k expected ok ->
-            ok && Bt.find t (D.Int k) = List.rev expected)
+            ok && Table.index_lookup t ~column:"k" (D.Int k) = Some (List.rev expected))
           model true);
     qtest "row encoding round-trips"
       Q.Gen.(

@@ -2,7 +2,6 @@
 
 module D = Genalg_storage.Dtype
 module Heap = Genalg_storage.Heap
-module Btree = Genalg_storage.Btree
 module Schema = Genalg_storage.Schema
 module Table = Genalg_storage.Table
 module Db = Genalg_storage.Database
@@ -86,70 +85,7 @@ let test_heap_delete_update () =
   check Alcotest.int "scan skips the tombstone" 2
     (Heap.fold (fun _ _ n -> n + 1) h 0)
 
-(* ---- btree ------------------------------------------------------------------ *)
-
-let test_btree_insert_find () =
-  let t = Btree.create () in
-  for i = 0 to 999 do
-    Btree.insert t (D.Int ((i * 37) mod 1000)) i
-  done;
-  check Alcotest.int "all keys present" 1000 (Btree.cardinal t);
-  check Alcotest.bool "height grows" true (Btree.height t >= 2);
-  check (Alcotest.list Alcotest.int) "find key 0"
-    [ 0 ]
-    (Btree.find t (D.Int 0));
-  check (Alcotest.list Alcotest.int) "absent" []
-    (Btree.find t (D.Int 5000))
-
-let test_btree_duplicates () =
-  let t = Btree.create () in
-  Btree.insert t (D.Str "k") 1;
-  Btree.insert t (D.Str "k") 2;
-  check Alcotest.int "two postings" 2 (List.length (Btree.find t (D.Str "k")));
-  check Alcotest.bool "remove one" true (Btree.remove t (D.Str "k") 1);
-  check Alcotest.int "one left" 1 (List.length (Btree.find t (D.Str "k")));
-  check Alcotest.bool "remove absent" false (Btree.remove t (D.Str "k") 9)
-
-let test_btree_order () =
-  let t = Btree.create () in
-  let keys = [ 5; 3; 9; 1; 7; 2; 8; 4; 6; 0 ] in
-  List.iter (fun k -> Btree.insert t (D.Int k) k) keys;
-  let collected = ref [] in
-  Btree.iter (fun k _ -> collected := k :: !collected) t;
-  check (Alcotest.list Alcotest.int) "in-order traversal"
-    [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
-    (List.rev_map (function D.Int i -> i | _ -> -1) !collected)
-
-let test_btree_range () =
-  let t = Btree.create () in
-  for i = 0 to 99 do
-    Btree.insert t (D.Int i) i
-  done;
-  let between = Btree.range ~lo:(D.Int 10) ~hi:(D.Int 20) t in
-  check Alcotest.int "inclusive range" 11 (List.length between);
-  let strict = Btree.range ~lo:(D.Int 10) ~hi:(D.Int 20) ~lo_inclusive:false ~hi_inclusive:false t in
-  check Alcotest.int "exclusive range" 9 (List.length strict);
-  let from_lo = Btree.range ~lo:(D.Int 95) t in
-  check Alcotest.int "open-ended" 5 (List.length from_lo)
-
-let test_btree_random_vs_model () =
-  let rng = Genalg_synth.Rng.make 23 in
-  let t = Btree.create () in
-  let model = Hashtbl.create 64 in
-  for i = 0 to 2999 do
-    let k = Genalg_synth.Rng.int rng 500 in
-    Btree.insert t (D.Int k) i;
-    Hashtbl.replace model k (i :: Option.value (Hashtbl.find_opt model k) ~default:[])
-  done;
-  Hashtbl.iter
-    (fun k expected ->
-      let got = Btree.find t (D.Int k) in
-      check (Alcotest.list Alcotest.int)
-        (Printf.sprintf "postings for %d" k)
-        (List.rev expected) got)
-    model
-
-(* ---- schema / table ------------------------------------------------------------ *)
+(* ---- column indexes --------------------------------------------------------- *)
 
 let simple_schema () =
   Schema.make_exn
@@ -157,6 +93,106 @@ let simple_schema () =
       { Schema.name = "id"; dtype = D.TInt; nullable = false };
       { Schema.name = "name"; dtype = D.TString; nullable = true };
     ]
+
+(* a table indexed on [id] with one row per key of [keys]: the i-th
+   key's row has rid i *)
+let indexed_table keys =
+  let t = Table.create ~name:"keys" (simple_schema ()) in
+  check Alcotest.bool "create index" true (Result.is_ok (Table.create_index t ~column:"id"));
+  List.iter (fun k -> ignore (Table.insert_exn t [| D.Int k; D.Null |])) keys;
+  t
+
+let rids_t = Alcotest.(list int)
+let lookup t k = Option.get (Table.index_lookup t ~column:"id" (D.Int k))
+
+let range ?lo ?hi ?lo_inclusive ?hi_inclusive t =
+  let int = Option.map (fun k -> D.Int k) in
+  Option.get
+    (Table.index_range t ~column:"id" ?lo:(int lo) ?hi:(int hi) ?lo_inclusive
+       ?hi_inclusive ())
+
+let key_of t rid =
+  match Table.get t rid with Some [| D.Int k; _ |] -> k | _ -> Alcotest.fail "no row"
+
+let test_btree_insert_find () =
+  let t = indexed_table (List.init 1000 (fun i -> i * 37 mod 1000)) in
+  check Alcotest.int "all keys present" 1000
+    (List.length (List.sort_uniq Int.compare (List.map (key_of t) (range t))));
+  check rids_t "find key 0" [ 0 ] (lookup t 0);
+  check rids_t "find key 37" [ 1 ] (lookup t 37);
+  check rids_t "absent" [] (lookup t 5000)
+
+let test_btree_duplicates () =
+  let t = Table.create ~name:"names" (simple_schema ()) in
+  ignore (Table.create_index t ~column:"name");
+  let r1 = Table.insert_exn t [| D.Int 1; D.Str "k" |] in
+  let r2 = Table.insert_exn t [| D.Int 2; D.Str "k" |] in
+  let find () = Option.get (Table.index_lookup t ~column:"name" (D.Str "k")) in
+  check rids_t "two postings, insertion order" [ r1; r2 ] (find ());
+  check Alcotest.bool "remove one" true (Table.delete t r1);
+  check rids_t "one left" [ r2 ] (find ());
+  check Alcotest.bool "remove absent" false (Table.delete t r1);
+  check rids_t "still one left" [ r2 ] (find ());
+  check Alcotest.bool "remove the other" true (Table.delete t r2);
+  check rids_t "key gone" [] (find ());
+  check rids_t "range skips the emptied key" []
+    (Option.get (Table.index_range t ~column:"name" ()))
+
+let test_btree_order () =
+  let t = indexed_table [ 5; 3; 9; 1; 7; 2; 8; 4; 6; 0 ] in
+  check rids_t "in key order"
+    [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
+    (List.map (key_of t) (range t))
+
+let test_btree_range () =
+  let t = indexed_table (List.init 100 Fun.id) in
+  check rids_t "inclusive range" (List.init 11 (fun i -> 10 + i)) (range ~lo:10 ~hi:20 t);
+  check rids_t "exclusive range" (List.init 9 (fun i -> 11 + i))
+    (range ~lo:10 ~hi:20 ~lo_inclusive:false ~hi_inclusive:false t);
+  check rids_t "open-ended" [ 95; 96; 97; 98; 99 ] (range ~lo:95 t);
+  check rids_t "open below" [ 0; 1; 2 ] (range ~hi:3 ~hi_inclusive:false t);
+  check rids_t "empty" [] (range ~lo:20 ~hi:10 t);
+  check rids_t "bounds between keys" [ 10 ] (range ~lo:9 ~hi:11 ~lo_inclusive:false ~hi_inclusive:false t)
+
+let test_btree_random_vs_model () =
+  let rng = Genalg_synth.Rng.make 23 in
+  let keys = List.init 3000 (fun _ -> Genalg_synth.Rng.int rng 500) in
+  let t = indexed_table keys in
+  let model = Hashtbl.create 64 in
+  List.iteri
+    (fun i k -> Hashtbl.replace model k (i :: Option.value (Hashtbl.find_opt model k) ~default:[]))
+    keys;
+  Hashtbl.iter
+    (fun k expected ->
+      check rids_t (Printf.sprintf "postings for %d" k) (List.rev expected) (lookup t k))
+    model
+
+(* Words allocated by [f ()], on the minor and the major heap alike; the
+   minor collections bring the runtime's counters up to date. *)
+let allocated_words f =
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  let result = f () in
+  Gc.minor ();
+  (result, (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8))
+
+(* A range visits only the keys it returns: 10 keys cost the same
+   allocation in a 1 000-row index as in a 100 000-row one, up to the
+   few hundred words by which cutting the deeper index costs more. *)
+let test_index_range_allocation () =
+  let range_words n =
+    let t = indexed_table (List.init n Fun.id) in
+    let rids, words = allocated_words (fun () -> range ~lo:500 ~hi:509 t) in
+    check rids_t "ten keys" (List.init 10 (fun i -> 500 + i)) rids;
+    words
+  in
+  let small = range_words 1_000 and large = range_words 100_000 in
+  check Alcotest.bool
+    (Printf.sprintf "same allocation (%.0f vs %.0f words)" small large)
+    true
+    (Float.abs (large -. small) <= 1024.)
+
+(* ---- schema / table ------------------------------------------------------------ *)
 
 let test_schema_validation () =
   check Alcotest.bool "duplicate names rejected" true
@@ -228,6 +264,54 @@ let test_table_stores_a_copy () =
   row.(1) <- D.Str "mutated";
   check row_t "update kept its own copy" (Some [| D.Int 1; D.Str "grace" |])
     (Table.get t rid)
+
+(* The first write through a shared handle copies the heap spine and
+   nothing else that grows with the table: the column indexes and the
+   genomic index are persistent values the write replaces. *)
+let test_first_write_after_share () =
+  let first_write_words n =
+    let db = Db.create () in
+    Genalg_adapter.Adapter.attach db Genalg_core.Builtin.default;
+    let schema =
+      Schema.make_exn
+        [
+          { Schema.name = "id"; dtype = D.TInt; nullable = false };
+          { Schema.name = "name"; dtype = D.TString; nullable = false };
+          { Schema.name = "seq"; dtype = D.TOpaque "dna"; nullable = false };
+        ]
+    in
+    let t =
+      Result.get_ok
+        (Db.create_table db ~actor:Db.loader_actor ~space:Db.Public ~name:"t" schema)
+    in
+    let rng = Genalg_synth.Rng.make 5 in
+    let row i =
+      let seq = Genalg_synth.Seqgen.dna rng 200 in
+      [| D.Int i; D.Str (Printf.sprintf "name%06d" i);
+         D.Opaque ("dna", Genalg_gdt.Sequence.to_bytes seq) |]
+    in
+    for i = 0 to n - 1 do
+      ignore (Table.insert_exn t (row i))
+    done;
+    ignore (Table.create_index t ~column:"id");
+    ignore (Table.create_index t ~column:"name");
+    ignore (Table.create_genomic_index t ~column:"seq" ~registry:(Db.udts db));
+    let fresh = row n in
+    let handle = Table.share t in
+    let _, words = allocated_words (fun () -> Table.insert_exn handle fresh) in
+    check Alcotest.int "the original does not see the write" n (Table.row_count t);
+    check Alcotest.int "the handle does" (n + 1) (Table.row_count handle);
+    words
+  in
+  let small = first_write_words 1_000 and large = first_write_words 20_000 in
+  (* one spine word per row; the spine grows by doubling, so its spare
+     capacity may double that (20 000 rows sit in 32 768 slots) *)
+  let bound = (2. *. float_of_int (20_000 - 1_000)) +. 2048. in
+  check Alcotest.bool
+    (Printf.sprintf "growth %.0f words (%.0f -> %.0f) within %.0f" (large -. small) small
+       large bound)
+    true
+    (large -. small <= bound)
 
 (* ---- database ------------------------------------------------------------------- *)
 
@@ -406,6 +490,7 @@ let suites =
         tc "order" `Quick test_btree_order;
         tc "range" `Quick test_btree_range;
         tc "random vs model" `Quick test_btree_random_vs_model;
+        tc "range allocation independent of rows" `Quick test_index_range_allocation;
       ] );
     ( "storage.table",
       [
@@ -413,6 +498,8 @@ let suites =
         tc "crud" `Quick test_table_crud;
         tc "index" `Quick test_table_index;
         tc "stores a copy of the row" `Quick test_table_stores_a_copy;
+        tc "first write after share copies only the heap spine" `Quick
+          test_first_write_after_share;
       ] );
     ( "storage.database",
       [
