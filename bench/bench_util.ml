@@ -2,6 +2,30 @@
    harness. Wall-clock medians for macro experiments; Bechamel handles the
    micro-benchmarks in [main.ml]. *)
 
+module Json = Perf.Json
+
+(* The outcome of a checked experiment: its setup, what it measured, and
+   named correctness booleans. [main.ml] prints it as one JSON line and
+   exits non-zero when a check is false. *)
+type record = {
+  id : string;
+  config : (string * Json.t) list;
+  metrics : (string * Json.t) list;
+  checks : (string * bool) list;
+}
+
+let json_of_record r =
+  Json.Obj
+    [
+      ("id", Json.Str r.id);
+      ("config", Json.Obj r.config);
+      ("metrics", Json.Obj r.metrics);
+      ("checks", Json.Obj (List.map (fun (name, b) -> (name, Json.Bool b)) r.checks));
+    ]
+
+let num f = Json.Num f
+let count n = Json.Num (float_of_int n)
+
 let time f =
   let t0 = Unix.gettimeofday () in
   let r = f () in

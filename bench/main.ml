@@ -5,7 +5,9 @@
 
    Run with: dune exec bench/main.exe
    (pass experiment ids as arguments to run a subset, e.g.
-    dune exec bench/main.exe -- T1 E2) *)
+    dune exec bench/main.exe -- T1 E2). The checked experiments (CACHE,
+   PAR, OPT, VEC, AVAIL, SHARD) each print one JSON record; the exit
+   status is non-zero when any of their checks is false. *)
 
 open Bench_util
 module Capability = Genalg_capability.Capability
@@ -26,8 +28,7 @@ let rng () = Genalg_synth.Rng.make 20030105
 
 (* [Exec.query] without the result cache: a SELECT is planned and run on
    every call, so timed repeats and comparisons between configurations
-   (jobs, ~optimize, cluster vs single node) measure executions, not
-   cache hits *)
+   (jobs, ~optimize) measure executions, not cache hits *)
 let execute ?optimize db ~actor sql =
   match Genalg_sqlx.Parser.parse sql with
   | Ok (Genalg_sqlx.Ast.Select s) ->
@@ -1095,57 +1096,6 @@ let bechamel_suite () =
     (List.sort compare !rows)
 
 (* ================================================================== *)
-(* OVERHEAD — cost of the observability layer on the query hot path    *)
-(* ================================================================== *)
-
-let overhead () =
-  heading "OVERHEAD"
-    "Observability layer cost: instrumented engine, obs disabled vs enabled";
-  note "instrumentation is compiled in unconditionally; disabled = one";
-  note "branch per call site (the <5%% budget), enabled = counters+spans live";
-  let db = Db.create () in
-  Genalg_adapter.Adapter.attach db Genalg_core.Builtin.default;
-  let exec sql =
-    match Exec.query db ~actor:Db.loader_actor sql with
-    | Ok o -> o
-    | Error msg -> failwith (sql ^ ": " ^ msg)
-  in
-  ignore (exec "CREATE TABLE frag (id int NOT NULL, organism string, len int)");
-  let r = rng () in
-  for i = 1 to 2000 do
-    ignore
-      (exec
-         (Printf.sprintf "INSERT INTO frag VALUES (%d, 'org%d', %d)" i
-            (Genalg_synth.Rng.int r 5)
-            (Genalg_synth.Rng.int r 1000)))
-  done;
-  let queries =
-    [
-      "SELECT * FROM frag WHERE len > 900";
-      "SELECT organism, count(*) FROM frag GROUP BY organism";
-      "SELECT * FROM frag ORDER BY len DESC LIMIT 10";
-    ]
-  in
-  let workload () = List.iter (fun q -> ignore (exec q)) queries in
-  let iters = 50 in
-  let per_iter () = measure ~runs:7 (fun () -> for _ = 1 to iters do workload () done) in
-  Obs.set_enabled false;
-  let t_disabled = per_iter () in
-  Obs.set_enabled true;
-  Obs.reset ();
-  let t_enabled = per_iter () in
-  Obs.set_enabled false;
-  let pct a b = (a /. b -. 1.) *. 100. in
-  print_table
-    [ "configuration"; "median / workload"; "vs disabled" ]
-    [
-      [ "obs disabled (default)"; fmt_ms (t_disabled /. float_of_int iters); "-" ];
-      [ "obs enabled"; fmt_ms (t_enabled /. float_of_int iters);
-        Printf.sprintf "%+.1f%%" (pct t_enabled t_disabled) ];
-    ];
-  note "workload = 3 queries (filter scan, group by, sort+limit) over 2000 rows"
-
-(* ================================================================== *)
 (* CACHE — multi-layer caching: cold vs warm latency and hit rates     *)
 (* ================================================================== *)
 
@@ -1212,11 +1162,22 @@ let cache_bench () =
   let hit_of name =
     match List.assoc_opt name stats with Some s -> s.Lru.hits | None -> 0
   in
-  let warm_ok = hit_of "result" > 0 && hit_of "mediator" > 0 in
-  (* machine-checkable marker for ci.sh's cache smoke step *)
-  Printf.printf "cache-smoke: warm-hit-rate-nonzero=%s\n"
-    (if warm_ok then "yes" else "no");
-  note "shape: every warm path should be well over 2x its cold path"
+  note "shape: every warm path should be well over 2x its cold path";
+  {
+    id = "CACHE";
+    config = [ ("rows", count 4000); ("mediator_records", count 200) ];
+    metrics =
+      [
+        ("result_cold_ms", num (ms t_query_cold));
+        ("result_warm_ms", num (ms t_query_warm));
+        ("mediator_cold_ms", num (ms t_med_cold));
+        ("mediator_warm_ms", num (ms t_med_warm));
+        ("result_hits", count (hit_of "result"));
+        ("mediator_hits", count (hit_of "mediator"));
+      ];
+    checks =
+      [ ("warm-hit-rate-nonzero", hit_of "result" > 0 && hit_of "mediator" > 0) ];
+  }
 
 (* ================================================================== *)
 (* PAR — parallel execution: hash join, partitioned scans, batch align *)
@@ -1318,13 +1279,28 @@ let par_bench () =
     (List.length nested_rows) (Par.spawned_total ());
   note "jobs>1 speedups depend on available cores (this host: %d)"
     (Domain.recommended_domain_count ());
-  (* machine-checkable markers for ci.sh's parallel smoke step *)
-  Printf.printf "par-smoke: hash-join-2x=%s\n"
-    (if hash_same && nested_t >= 2. *. hash_t then "yes" else "no");
-  Printf.printf "par-smoke: jobs-results-identical=%s\n"
-    (if identical then "yes" else "no");
   note "shape: hash join is O(|L|+|R|) vs the nested loop's O(|L|*|R|);";
-  note "jobs=N never changes results, only who computes them"
+  note "jobs=N never changes results, only who computes them";
+  {
+    id = "PAR";
+    config = [ ("rows", count n); ("jobs", count jobs_n); ("align_pairs", count 64) ];
+    metrics =
+      [
+        ("join_rows", count (List.length nested_rows));
+        ("nested_join_ms", num (ms nested_t));
+        ("hash_join_ms", num (ms hash_t));
+        ("hash_join_jobs_n_ms", num (ms join_t_n));
+        ("scan_jobs_1_ms", num (ms scan_t_1));
+        ("scan_jobs_n_ms", num (ms scan_t_n));
+        ("align_jobs_1_ms", num (ms align_t_1));
+        ("align_jobs_n_ms", num (ms align_t_n));
+      ];
+    checks =
+      [
+        ("hash-join-2x", hash_same && nested_t >= 2. *. hash_t);
+        ("jobs-results-identical", identical);
+      ];
+  }
 
 (* ================================================================== *)
 (* AVAIL — availability under injected faults: mediator vs warehouse   *)
@@ -1412,7 +1388,7 @@ let avail () =
   let run1 = replay () in
   let run2 = replay () in
   let deterministic = run1 = run2 in
-  let full, partial, unanswered, cok, ctot, retries, skips, fails = run1 in
+  let full, partial, unanswered, answered, ctot, retries, skips, fails = run1 in
   (* the warehouse answers the same workload locally *)
   let wh_ok = ref 0 in
   for _ = 1 to n_queries do
@@ -1428,7 +1404,7 @@ let avail () =
       [ "mediator (faults)"; string_of_int n_queries; string_of_int full;
         string_of_int partial; string_of_int unanswered;
         Printf.sprintf "%.3f" (frac full n_queries);
-        Printf.sprintf "%.3f" (frac cok ctot); string_of_int retries;
+        Printf.sprintf "%.3f" (frac answered ctot); string_of_int retries;
         string_of_int skips; string_of_int fails ];
       [ "warehouse (faults)"; string_of_int n_queries; string_of_int !wh_ok;
         "0"; string_of_int (n_queries - !wh_ok);
@@ -1503,304 +1479,32 @@ let avail () =
     (fun f -> if Sys.file_exists f then Sys.remove f)
     [ path; path ^ ".tmp"; path ^ ".journal" ];
   ignore baseline_results;
-  (* machine-checkable markers for ci.sh's availability smoke step *)
-  Printf.printf "avail-smoke: zero-faults-when-disabled=%s\n"
-    (if zero_when_disabled then "yes" else "no");
-  Printf.printf "avail-smoke: deterministic=%s\n"
-    (if deterministic then "yes" else "no");
-  Printf.printf "avail-smoke: warehouse-ge-mediator=%s\n"
-    (if wh_ge_med then "yes" else "no");
-  Printf.printf "avail-smoke: crash-recovery=%s\n"
-    (if !recovery_ok then "ok" else "fail");
   note "shape: the warehouse keeps answering when sources die; the mediator";
-  note "degrades per-source and recovers what retries and breakers allow"
-
-(* ================================================================== *)
-(* SERVE — concurrent sessions over the wire protocol + group-commit   *)
-(* WAL (docs/SERVING.md); gated in ci.sh                               *)
-(* ================================================================== *)
-
-let serve_bench () =
-  let module Server = Genalg_serve.Server in
-  let module Client = Genalg_serve.Client in
-  let module Proto = Genalg_serve.Protocol in
-  let module Wal = Genalg_storage.Wal in
-  let module Fault = Genalg_fault.Fault in
-  heading "SERVE"
-    "Multi-client serving: concurrent sessions, transactions, group-commit WAL";
-  let n_clients =
-    match Sys.getenv_opt "GENALG_SERVE_CLIENTS" with
-    | Some s -> (try max 1 (int_of_string s) with _ -> 8)
-    | None -> 8
-  in
-  let ops_per_client =
-    match Sys.getenv_opt "GENALG_SERVE_OPS" with
-    | Some s -> (try max 1 (int_of_string s) with _ -> 40)
-    | None -> 40
-  in
-  note "%d concurrent client sessions x %d operations each" n_clients
-    ops_per_client;
-  note "mix: 70%% SELECT / 20%% autocommit INSERT / 10%% BEGIN-INSERT-COMMIT";
-  let dir =
-    let d =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "genalg_serve_%d" (Unix.getpid ()))
-    in
-    (try Unix.mkdir d 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    d
-  in
-  let db_path = Filename.concat dir "serve.db" in
-  let socket = Filename.concat dir "serve.sock" in
-  let attach db = Genalg_adapter.Adapter.attach db Genalg_core.Builtin.default in
-  (* the warehouse under test: the F-series synthetic federation *)
-  let pl =
-    Result.get_ok
-      (Pipeline.create
-         ~sources:
-           (let r = rng () in
-            List.init 2 (fun i ->
-                Source.create
-                  ~name:(Printf.sprintf "s%d" i)
-                  Source.Queryable Source.Relational
-                  (Genalg_synth.Recordgen.repository r ~size:150
-                     ~prefix:(Printf.sprintf "S%d" i) ())))
-         ())
-  in
-  ignore (Result.get_ok (Pipeline.bootstrap pl));
-  (match Db.save (Pipeline.database pl) db_path with
-  | Ok () -> ()
-  | Error m -> failwith m);
-  let config =
-    { (Server.default_config ~socket_path:socket) with Server.attach } in
-  let server = Result.get_ok (Server.create config ~db_path) in
-  let server_domain =
-    Domain.spawn (fun () -> Server.serve server)
-  in
-  (* wait until the socket answers *)
-  let rec wait_ready n =
-    if n = 0 then failwith "server did not come up"
-    else
-      match Client.connect ~actor:"probe" ~socket () with
-      | Ok c -> Client.close c
-      | Error _ ->
-          Unix.sleepf 0.05;
-          wait_ready (n - 1)
-  in
-  wait_ready 100;
-  (* one client session's workload; returns (latencies, failures) *)
-  let client_workload i () =
-    let actor = Printf.sprintf "u%d" i in
-    match Client.connect ~actor ~socket () with
-    | Error msg -> ([||], [ "connect: " ^ msg ])
-    | Ok c ->
-        let failures = ref [] in
-        let fail msg = failures := msg :: !failures in
-        let expect_applied label = function
-          | Ok (Proto.Rows _ | Proto.Affected _ | Proto.Ok_reply _) -> ()
-          | Ok (Proto.Error_reply { code; message }) ->
-              fail
-                (Printf.sprintf "%s: [%s] %s" label
-                   (Proto.error_code_to_string code)
-                   message)
-          | Ok _ -> fail (label ^ ": unexpected reply")
-          | Error msg -> fail (label ^ ": " ^ msg)
-        in
-        expect_applied "create"
-          (Client.query c "CREATE TABLE notes (k int, tag string)");
-        let lat = Array.make ops_per_client 0. in
-        for j = 0 to ops_per_client - 1 do
-          let t0 = Unix.gettimeofday () in
-          (match j mod 10 with
-          | 0 | 1 | 2 | 3 | 4 | 5 | 6 ->
-              expect_applied "select"
-                (Client.query c
-                   (Printf.sprintf
-                      "SELECT accession, organism FROM sequences WHERE length \
-                       > %d LIMIT 20"
-                      (400 + (37 * ((i + j) mod 20)))))
-          | 7 | 8 ->
-              expect_applied "insert"
-                (Client.query c
-                   (Printf.sprintf "INSERT INTO notes VALUES (%d, 'auto')" j))
-          | _ -> (
-              match Client.begin_ c with
-              | Error msg -> fail ("begin: " ^ msg)
-              | Ok () ->
-                  expect_applied "txn-insert"
-                    (Client.query c
-                       (Printf.sprintf "INSERT INTO notes VALUES (%d, 'txn')" j));
-                  (match Client.commit c with
-                  | Ok () -> ()
-                  | Error msg -> fail ("commit: " ^ msg))));
-          lat.(j) <- Unix.gettimeofday () -. t0
-        done;
-        Client.close c;
-        (lat, List.rev !failures)
-  in
-  let t0 = Unix.gettimeofday () in
-  let workers =
-    List.init n_clients (fun i -> Domain.spawn (client_workload i))
-  in
-  let results = List.map Domain.join workers in
-  let wall = Unix.gettimeofday () -. t0 in
-  let all_lat =
-    Array.concat (List.map fst results)
-  in
-  let failures = List.concat_map snd results in
-  Array.sort Float.compare all_lat;
-  let n_ops = Array.length all_lat in
-  let pct p =
-    if n_ops = 0 then nan
-    else all_lat.(min (n_ops - 1) (int_of_float (p *. float_of_int n_ops)))
-  in
-  let qps = float_of_int n_ops /. wall in
-  print_table
-    [ "sessions"; "ops"; "failed"; "wall"; "QPS"; "p50"; "p99"; "max" ]
-    [
-      [ string_of_int n_clients; string_of_int n_ops;
-        string_of_int (List.length failures); fmt_ms wall;
-        Printf.sprintf "%.0f" qps; fmt_ms (pct 0.50); fmt_ms (pct 0.99);
-        fmt_ms (pct 1.0) ];
-    ];
-  List.iteri
-    (fun i msg -> if i < 5 then note "failure: %s" msg)
-    failures;
-  (* server-side accounting (single process: read the registry after the
-     workers have drained) *)
-  print_newline ();
-  note "server-side serve.* instruments:";
-  List.iter
-    (fun (e : Obs.entry) -> note "  %-32s %d" e.Obs.name e.Obs.count)
-    (Obs.snapshot ~prefix:"serve" ());
-  let commits =
-    List.fold_left
-      (fun acc (e : Obs.entry) ->
-        if e.Obs.name = "serve.group_commit.commits" then e.Obs.count else acc)
-      0
-      (Obs.snapshot ~prefix:"serve" ())
-  and batches =
-    List.fold_left
-      (fun acc (e : Obs.entry) ->
-        if e.Obs.name = "serve.group_commit.batches" then e.Obs.count else acc)
-      0
-      (Obs.snapshot ~prefix:"serve" ())
-  in
-  if batches > 0 then
-    note "group commit: %d commits in %d WAL flushes (%.2f commits/flush)"
-      commits batches
-      (float_of_int commits /. float_of_int (max 1 batches));
-  (* -- phase 2: dirty shutdown, then WAL-replay recovery -------------- *)
-  print_newline ();
-  note "recovery: commit rows, shut down WITHOUT checkpoint, reopen, replay:";
-  let recovery_ok =
-    match Client.connect ~actor:"rec" ~socket () with
-    | Error msg ->
-        note "  recovery client failed: %s" msg;
-        false
-    | Ok c ->
-        let ok1 =
-          Client.query c "CREATE TABLE ledger (k int)" |> Result.is_ok
-        in
-        let committed = ref 0 in
-        for k = 1 to 5 do
-          match
-            Client.query c (Printf.sprintf "INSERT INTO ledger VALUES (%d)" k)
-          with
-          | Ok (Proto.Affected 1) -> incr committed
-          | _ -> ()
-        done;
-        (match Client.shutdown c ~dirty:true with Ok () | Error _ -> ());
-        Client.close c;
-        (match Domain.join server_domain with Ok () | Error _ -> ());
-        ignore ok1;
-        (* the image on disk predates every commit; reopening must
-           replay them all from the WAL *)
-        let config2 =
-          { (Server.default_config ~socket_path:socket) with Server.attach }
-        in
-        let s2 = Result.get_ok (Server.create config2 ~db_path) in
-        let rows =
-          match
-            Exec.query (Server.db s2) ~actor:"rec" "SELECT k FROM ledger"
-          with
-          | Ok (Exec.Rows rs) -> List.length rs.Exec.rows
-          | _ -> -1
-        in
-        Server.stop s2;
-        let d2 = Domain.spawn (fun () -> Server.serve s2) in
-        (match Domain.join d2 with Ok () | Error _ -> ());
-        note "  committed=%d, image rows=0, replayed statements=%d, rows \
-              after reopen=%d"
-          !committed (Server.replayed s2) rows;
-        rows = !committed && Server.replayed s2 > 0
-  in
-  (* -- phase 3: crash matrix at the WAL group-commit crash points ----- *)
-  print_newline ();
-  note "WAL crash matrix: txn A flushed+acked, then crash while flushing txn B;";
-  note "an acknowledged commit must never be lost:";
-  let crash_ok = ref true in
-  List.iter
-    (fun site ->
-      let wal_file = Filename.concat dir ("crash_" ^ Filename.basename site) in
-      (try Sys.remove wal_file with Sys_error _ -> ());
-      let wal = Result.get_ok (Wal.open_ wal_file) in
-      Wal.append_begin wal ~txn:1;
-      Wal.append_stmt wal ~txn:1 ~actor:"u" ~sql:"INSERT INTO t VALUES (1)";
-      Wal.append_commit wal ~txn:1;
-      (match Wal.flush wal with Ok () -> () | Error m -> failwith m);
-      Wal.append_begin wal ~txn:2;
-      Wal.append_stmt wal ~txn:2 ~actor:"u" ~sql:"INSERT INTO t VALUES (2)";
-      Wal.append_commit wal ~txn:2;
-      (match Fault.configure (site ^ ":crash:times=1") with
-      | Ok () -> ()
-      | Error m -> failwith m);
-      let crashed =
-        match Wal.flush wal with
-        | exception Genalg_fault.Fault.Crash_point _ -> true
-        | Ok () | Error _ -> false
-      in
-      Fault.disable ();
-      Wal.close wal;
-      let rp = Result.get_ok (Wal.replay wal_file) in
-      let sqls =
-        List.map (fun (s : Wal.replay_stmt) -> s.Wal.rp_sql) rp.Wal.committed
-      in
-      let txn1_survives = List.mem "INSERT INTO t VALUES (1)" sqls in
-      (* a crash after the fsync (storage.wal.flush) means txn B is
-         durable too; a torn tail (flush_partial) may lose it — it was
-         never acknowledged *)
-      let consistent =
-        txn1_survives
-        && (site <> "storage.wal.flush"
-           || List.mem "INSERT INTO t VALUES (2)" sqls)
-      in
-      note "  %-28s crashed=%b torn=%b committed-replayed=%d ok=%b" site
-        crashed rp.Wal.torn
-        (List.length rp.Wal.committed)
-        consistent;
-      if not (crashed && consistent) then crash_ok := false)
-    Wal.crash_points;
-  (* cleanup *)
-  (try
-     Array.iter
-       (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-       (Sys.readdir dir);
-     Unix.rmdir dir
-   with Sys_error _ | Unix.Unix_error _ -> ());
-  Obs.set_enabled false;
-  (* machine-checkable markers for ci.sh *)
-  Printf.printf "serve-smoke: sessions=%d zero-failed=%s\n" n_clients
-    (if failures = [] then "yes" else "no");
-  Printf.printf "serve-smoke: p99-reported=%s\n"
-    (if n_ops > 0 && Float.is_finite (pct 0.99) then "yes" else "no");
-  Printf.printf "serve-smoke: wal-recovery=%s\n"
-    (if recovery_ok then "ok" else "fail");
-  Printf.printf "serve-smoke: wal-crash-matrix=%s\n"
-    (if !crash_ok then "ok" else "fail");
-  note "shape: one event loop interleaves N sessions at statement granularity;";
-  note "commits are acknowledged once per group flush, and replay after a";
-  note "dirty stop recovers every acknowledged transaction"
+  note "degrades per-source and recovers what retries and breakers allow";
+  {
+    id = "AVAIL";
+    config =
+      [ ("queries", count n_queries); ("sources", count 4); ("fault_spec", Json.Str spec) ];
+    metrics =
+      [
+        ("mediator.complete", count full);
+        ("mediator.partial", count partial);
+        ("mediator.unanswered", count unanswered);
+        ("mediator.contact_avail", num (frac answered ctot));
+        ("mediator.retries", count retries);
+        ("mediator.breaker_skips", count skips);
+        ("mediator.failures", count fails);
+        ("warehouse.answered", count !wh_ok);
+        ("crash_points", count (List.length Db.crash_points));
+      ];
+    checks =
+      [
+        ("zero-faults-when-disabled", zero_when_disabled);
+        ("deterministic", deterministic);
+        ("warehouse-ge-mediator", wh_ge_med);
+        ("crash-recovery", !recovery_ok);
+      ];
+  }
 
 (* ================================================================== *)
 (* OPT — cost-based optimizer: the same tables before and after ANALYZE *)
@@ -1912,7 +1616,8 @@ let opt_bench () =
   in
   List.iter (fun t -> run ("ANALYZE " ^ t)) [ "frag"; "frags"; "big"; "small" ];
   let never_lost = ref true and identical = ref true and differ = ref false in
-  let rows =
+  (* per workload: its table row and its two timings *)
+  let measured =
     List.map2
       (fun (label, sql) (rows_d, t_d, path_d) ->
         let t_m = best_time sql in
@@ -1922,15 +1627,17 @@ let opt_bench () =
         if path_d <> path_m then differ := true;
         (* noise floor: 1.5x plus an absolute millisecond allowance *)
         if t_m > (t_d *. 1.5) +. 0.002 then never_lost := false;
-        [ label; fmt_ms t_d; fmt_ms t_m;
-          Printf.sprintf "%.1fx" (t_d /. Float.max t_m 1e-9);
-          path_d; (if path_m = path_d then "same" else path_m) ])
+        ( [ label; fmt_ms t_d; fmt_ms t_m;
+            Printf.sprintf "%.1fx" (t_d /. Float.max t_m 1e-9);
+            path_d; (if path_m = path_d then "same" else path_m) ],
+          [ (label ^ ".default_ms", num (ms t_d));
+            (label ^ ".analyzed_ms", num (ms t_m)) ] ))
       workloads defaults
   in
   print_table
     [ "workload"; "default stats"; "analyzed"; "speedup"; "default access";
       "analyzed access" ]
-    rows;
+    (List.map fst measured);
   print_newline ();
   note "resembles threshold crossover (pattern %d chars, k=8): the seed path is" (String.length pattern);
   note "only index-safe above t = 1 - 3/(2k); below it the planner must keep scanning";
@@ -1950,11 +1657,18 @@ let opt_bench () =
       [ 0.80; 0.85; 0.92 ]
   in
   print_table [ "threshold"; "safe min len"; "chosen access"; "analyzed" ] crossover;
-  (* machine-checkable markers for ci.sh's optimizer smoke step *)
-  Printf.printf "opt-smoke: never-loses=%s\n" (if !never_lost then "yes" else "no");
-  Printf.printf "opt-smoke: results-identical=%s\n" (if !identical then "yes" else "no");
-  Printf.printf "opt-smoke: plans-differ=%s\n" (if !differ then "yes" else "no");
-  note "shape: genomic paths should win by 10x+; relational paths stay within noise"
+  note "shape: genomic paths should win by 10x+; relational paths stay within noise";
+  {
+    id = "OPT";
+    config = [ ("frag_rows", count 4000); ("frags_rows", count 600); ("runs", count 9) ];
+    metrics = List.concat_map snd measured;
+    checks =
+      [
+        ("never-loses", !never_lost);
+        ("results-identical", !identical);
+        ("plans-differ", !differ);
+      ];
+  }
 
 (* ================================================================== *)
 (* VEC — vectorized scans: packed kernels vs a naive string reference  *)
@@ -2057,7 +1771,8 @@ let vec_bench () =
     let _, sql, _ = List.find (fun (w, _, _) -> w = name) workloads in
     sql
   in
-  note "gc workload allocation: %.0f B/row vectorized" (alloc_per_row (sql_of "gc"));
+  let gc_alloc = alloc_per_row (sql_of "gc") in
+  note "gc workload allocation: %.0f B/row vectorized" gc_alloc;
   (* -- jobs scaling: chunks partition across the domain pool --------- *)
   let jobs_n = max 4 (Par.default_jobs ()) in
   let scale_sql = sql_of "combo" in
@@ -2124,12 +1839,26 @@ let vec_bench () =
   in
   note "k-mer seeds: %d hits of the motif's first %d-mer in %s; %d alignments in %s"
     (List.length !hits) k (fmt_ms t_kmer) (Array.length pairs) (fmt_ms t_align);
-  (* machine-checkable markers for ci.sh's vectorized smoke step *)
-  Printf.printf "vec-smoke: results-identical=%s\n" (if identical then "yes" else "no");
-  Printf.printf "vec-smoke: jobs-results-identical=%s\n"
-    (if jobs_identical then "yes" else "no");
   note "shape: kernels never decode, so gc/len scans cost little per row;";
-  note "jobs>1 multiplies on multi-core hosts"
+  note "jobs>1 multiplies on multi-core hosts";
+  {
+    id = "VEC";
+    config = [ ("rows", count n); ("motif_len", count (String.length motif)) ];
+    metrics =
+      List.concat_map
+        (fun (name, (rows, t)) ->
+          [ (name ^ ".rows", count (List.length rows)); (name ^ ".ms", num (ms t)) ])
+        vec
+      @ List.map (fun (j, _, t) -> (Printf.sprintf "combo.jobs_%d_ms" j, num (ms t))) curve
+      @ [
+          ("gc.alloc_bytes_per_row", num gc_alloc);
+          ("kmer_hits", count (List.length !hits));
+          ("kmer_ms", num (ms t_kmer));
+          ("align_ms", num (ms t_align));
+        ];
+    checks =
+      [ ("results-identical", identical); ("jobs-results-identical", jobs_identical) ];
+  }
 
 (* ================================================================== *)
 
@@ -2137,21 +1866,14 @@ let vec_bench () =
    scaling gate has to come from partition pruning (a WHERE conjunct
    pinning the partition column routes to one shard, which scans ~1/N of
    the rows), not from parallel shard execution. Every query varies its
-   literals and clears the statement caches so the result cache cannot
-   serve repeats. *)
+   literals, so the result cache cannot serve repeats. Equivalence with
+   the single node and failover are tested in test/test_shard.ml. *)
 let shard_bench () =
-  heading "SHARD"
-    "Sharded scatter-gather: partition pruning, partial aggregates, failover";
+  heading "SHARD" "Sharded scatter-gather: partition pruning scales pruned scans";
   let module Cluster = Genalg_shard.Cluster in
-  let module Fault = Genalg_fault.Fault in
   Obs.set_enabled true;
-  let n =
-    match Sys.getenv_opt "GENALG_SHARD_N" with
-    | Some s -> (try max 500 (int_of_string s) with Failure _ -> 8_000)
-    | None -> 8_000
-  in
-  let orgs = 64 in
-  note "%d sample rows over %d organisms (GENALG_SHARD_N overrides)" n orgs;
+  let n = 8_000 and orgs = 64 in
+  note "%d sample rows over %d organisms" n orgs;
   let actor = "bench" in
   let attach db = Genalg_adapter.Adapter.attach db Genalg_core.Builtin.default in
   let create_sql =
@@ -2182,10 +1904,6 @@ let shard_bench () =
     ignore (ok (Cluster.query cl ~actor create_sql));
     List.iter (fun sql -> ignore (ok (Cluster.query cl ~actor sql))) batches
   in
-  let base = Db.create () in
-  attach base;
-  ignore (ok (Exec.query base ~actor create_sql));
-  List.iter (fun sql -> ignore (ok (Exec.query base ~actor sql))) batches;
   (* pruned read mix: aggregates and a top-k filter scan, literals varied *)
   let query_at i =
     let org = i * 7 mod orgs and thr = 200 + (i * 53 mod 600) in
@@ -2255,252 +1973,58 @@ let shard_bench () =
   let r = Cluster.last_report cl4 in
   note "pruning: last 4-shard scatter hit %d of 4 shards (gathered=%d)"
     r.Cluster.targets r.Cluster.gathered;
-  (* -- results identical to the single-node engine -------------------- *)
-  let corpus =
-    [
-      "SELECT count(*) FROM samples";
-      "SELECT organism, count(*), avg(len) FROM samples GROUP BY organism \
-       ORDER BY organism LIMIT 10";
-      "SELECT count(*), min(score), max(len) FROM samples WHERE len >= 400";
-      "SELECT accession FROM samples WHERE organism = 'org03' ORDER BY \
-       accession LIMIT 20";
-      "SELECT organism, sum(len) FROM samples GROUP BY organism HAVING \
-       count(*) >= 50 ORDER BY organism";
-      "SELECT upper(organism), count(*) FROM samples GROUP BY \
-       upper(organism) ORDER BY upper(organism) LIMIT 5";
-      "SELECT count(*) FROM samples WHERE organism = 'no-such-organism'";
-      "SELECT avg(len) FROM samples WHERE organism = 'org00'";
-      "SELECT missing FROM samples";
-    ]
-  in
-  let identical =
-    List.for_all
-      (fun sql -> Cluster.query cl4 ~actor sql = execute base ~actor sql)
-      corpus
-  in
-  (* -- zero failed queries under a crash-looping primary -------------- *)
-  let fcl = ok (Cluster.create_local ~attach ~replicas:true ~shards:4 ()) in
-  load_cluster fcl;
-  let spec = "seed=7;shard.1.primary:error:p=0.7;shard.2.primary:crash:p=0.35" in
-  (match Fault.configure spec with Ok () -> () | Error m -> failwith m);
-  let q_fault = 40 in
-  let ok_n = ref 0 and same_n = ref 0 in
-  for i = 0 to q_fault - 1 do
-    let sql = query_at i in
-    let a = Cluster.query fcl ~actor sql in
-    let b = execute base ~actor sql in
-    (match a with Ok _ -> incr ok_n | Error _ -> ());
-    if a = b then incr same_n
-  done;
-  Fault.disable ();
-  note "fault spec %s" spec;
-  note "%d/%d queries answered, %d/%d identical to single-node; %d \
-        primary->replica failovers"
-    !ok_n q_fault !same_n q_fault
-    (Cluster.failovers_total fcl);
   print_endline (Obs.render_table ~prefix:"shard" ());
-  (* machine-checkable markers for ci.sh's sharding smoke step *)
-  let scaling_ok = median scaling_4 >= 1.6 in
-  Printf.printf "shard-smoke: scan-scaling-1.6x=%s\n"
-    (if scaling_ok then "yes" else "no");
-  Printf.printf "shard-smoke: results-identical=%s\n"
-    (if identical then "yes" else "no");
-  Printf.printf "shard-smoke: failover-40of40=%s\n"
-    (if !ok_n = q_fault && !same_n = q_fault then "yes" else "no");
   note "shape: pruning does the scaling work on a single core - a pinned";
   note "partition column scans ~1/N of the rows; fan-out adds cores when \
-        present"
+        present";
+  {
+    id = "SHARD";
+    config =
+      [ ("rows", count n); ("organisms", count orgs); ("passes", count passes);
+        ("queries_per_pass", count q_scale) ];
+    metrics =
+      List.concat
+        (List.mapi
+           (fun c shards ->
+             let key = Printf.sprintf "shards_%d." shards in
+             [ (key ^ "load_ms", num (ms (snd clusters.(c))));
+               (key ^ "qps_median", num (median (column c)));
+               (key ^ "vs_1_median", num (median (vs_one c))) ])
+           (Array.to_list counts))
+      @ [ ("scaling_4v1_passes", Json.Arr (List.map num scaling_4)) ];
+    checks = [ ("scan-scaling-1.6x", median scaling_4 >= 1.6) ];
+  }
 
-(* ================================================================== *)
-
-(* CLUSTER: durability and self-healing. A persistent 4-shard cluster is
-   driven through a crash matrix crossing shard crash-loop faults with
-   coordinator restarts (clean close, abandoned-without-close, and
-   abandoned with a torn statement-log tail). Every cell writes while
-   members are down, queries under the active faults, then restarts and
-   heals; all 40 matrix queries must match the single-node engine
-   byte-for-byte, and the resync counters must show members replayed at
-   most the statements they missed. *)
-let cluster_bench () =
-  heading "CLUSTER"
-    "Cluster durability: crash matrix, bounded resync, manifest recovery";
-  let module Cluster = Genalg_shard.Cluster in
-  let module Fault = Genalg_fault.Fault in
-  Obs.set_enabled true;
-  let n =
-    match Sys.getenv_opt "GENALG_CLUSTER_N" with
-    | Some s -> (try max 200 (int_of_string s) with Failure _ -> 2_000)
-    | None -> 2_000
-  in
-  let orgs = 32 in
-  note "%d sample rows over %d organisms (GENALG_CLUSTER_N overrides)" n orgs;
-  let actor = "bench" in
-  let attach db = Genalg_adapter.Adapter.attach db Genalg_core.Builtin.default in
-  let ok = function Ok v -> v | Error m -> failwith m in
-  let dir = Filename.temp_file "genalg_cluster_bench" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  let rec rm path =
-    if Sys.is_directory path then begin
-      Array.iter (fun e -> rm (Filename.concat path e)) (Sys.readdir path);
-      try Unix.rmdir path with Unix.Unix_error _ -> ()
-    end
-    else try Sys.remove path with Sys_error _ -> ()
-  in
-  Fun.protect ~finally:(fun () -> Fault.disable (); rm dir) @@ fun () ->
-  let create_sql =
-    "CREATE TABLE samples (organism string, accession string, len int, score \
-     float)"
-  in
-  let row_sql i =
-    Printf.sprintf "('org%02d', 'ACC%05d', %d, %.2f)" (i mod orgs) i
-      (200 + (i * 37 mod 600))
-      (float_of_int (i * 13 mod 100) /. 100.)
-  in
-  let base = Db.create () in
-  attach base;
-  let cl = ref (ok (Cluster.create_local ~attach ~replicas:true ~dir ~shards:4 ())) in
-  let both sql =
-    ignore (ok (Cluster.query !cl ~actor sql));
-    ignore (ok (Exec.query base ~actor sql))
-  in
-  both create_sql;
-  let rec load lo =
-    if lo < n then begin
-      let hi = min n (lo + 250) in
-      let rows = List.init (hi - lo) (fun k -> row_sql (lo + k)) in
-      both
-        (Printf.sprintf "INSERT INTO samples VALUES %s"
-           (String.concat ", " rows));
-      load hi
-    end
-  in
-  load 0;
-  let query_at i =
-    let org = i * 7 mod orgs and thr = 200 + (i * 53 mod 600) in
-    if i mod 2 = 0 then
-      Printf.sprintf
-        "SELECT count(*), sum(len), avg(score) FROM samples WHERE organism = \
-         'org%02d' AND len >= %d"
-        org thr
-    else
-      Printf.sprintf
-        "SELECT accession, len FROM samples WHERE organism = 'org%02d' AND \
-         len < %d ORDER BY len, accession LIMIT 5"
-        org thr
-  in
-  let all_serving () =
-    Array.for_all (( = ) Cluster.Serving) (Cluster.shard_states !cl)
-  in
-  let heal () =
-    let tries = ref 0 in
-    while (not (all_serving ())) && !tries < 80 do
-      incr tries;
-      ignore (ok (Cluster.query !cl ~actor "SELECT count(*) FROM samples"))
-    done;
-    all_serving ()
-  in
-  let c_replayed = Obs.counter "shard.resync.replayed" in
-  let replayed0 = Obs.value c_replayed in
-  (* crash matrix: fault spec x coordinator-restart mode. Torn tails ride
-     on the abandoned-restart axis (a clean close flushes the tail). *)
-  let specs =
-    [ None; Some "seed=11;shard.1.primary:error:p=0.6;shard.2.primary:crash:p=0.35" ]
-  in
-  let restarts = [ `Keep; `Clean_close; `Abandon; `Abandon_torn ] in
-  let cells =
-    List.concat_map (fun s -> List.map (fun r -> (s, r)) restarts) specs
-  in
-  let q_per_cell = 5 in
-  let qi = ref 0 and wi = ref n in
-  let same_n = ref 0 and missed = ref 0 in
-  let healed_all = ref true and epochs_kept = ref true in
-  List.iter
-    (fun (spec, restart) ->
-      (match spec with
-      | None -> ()
-      | Some s ->
-          (match Fault.configure s with Ok () -> () | Error m -> failwith m));
-      (* writes land while members are down; the statement log holds
-         their delta for resync *)
-      for _ = 1 to 2 do
-        both (Printf.sprintf "INSERT INTO samples VALUES %s" (row_sql !wi));
-        incr wi;
-        Array.iter
-          (fun st -> if st <> Cluster.Serving then incr missed)
-          (Cluster.shard_states !cl)
-      done;
-      (* the cell's matrix queries run under the active faults: failover
-         and mirror fallback must keep them byte-identical *)
-      for _ = 1 to q_per_cell do
-        let sql = query_at !qi in
-        incr qi;
-        let a = Cluster.query !cl ~actor sql in
-        if a = execute base ~actor sql then incr same_n
-      done;
-      Fault.disable ();
-      let epochs_before =
-        Array.init (Cluster.shard_count !cl) (Cluster.epoch !cl)
-      in
-      (match restart with
-      | `Keep -> ()
-      | `Clean_close ->
-          Cluster.close !cl;
-          cl := ok (Cluster.open_dir ~attach ~dir ())
-      | `Abandon | `Abandon_torn ->
-          (* coordinator crash: the old handle is simply dropped; every
-             statement was flushed to the log when it ran *)
-          if restart = `Abandon_torn then begin
-            let oc =
-              open_out_gen [ Open_append; Open_binary ] 0o600
-                (Filename.concat dir "statements.log")
-            in
-            output_string oc "\x7f\x00torn-tail-garbage\x01\x02";
-            close_out oc
-          end;
-          cl := ok (Cluster.open_dir ~attach ~dir ()));
-      if restart <> `Keep then
-        Array.iteri
-          (fun i e0 -> if Cluster.epoch !cl i < e0 then epochs_kept := false)
-          epochs_before;
-      if not (heal ()) then healed_all := false)
-    cells;
-  let replayed = Obs.value c_replayed - replayed0 in
-  note "%d/%d matrix queries identical to single-node across %d cells"
-    !same_n !qi (List.length cells);
-  note "resync replayed %d statements; members missed at most %d" replayed
-    !missed;
-  print_endline (Cluster.report_text !cl);
-  print_endline (Obs.render_table ~prefix:"shard.resync" ());
-  (* machine-checkable markers for ci.sh's cluster durability step *)
-  Printf.printf "cluster-smoke: crash-matrix-40of40=%s\n"
-    (if !same_n = !qi && !qi = q_per_cell * List.length cells then "yes"
-     else "no");
-  Printf.printf "cluster-smoke: resync-bounded=%s\n"
-    (if replayed > 0 && replayed <= !missed then "yes" else "no");
-  Printf.printf "cluster-smoke: recovery=%s\n"
-    (if !healed_all && !epochs_kept && all_serving () then "ok" else "failed");
-  Cluster.close !cl;
-  note "shape: restarts replay the statement log over checkpoint images;";
-  note "resync ships only each member's delta, so replayed <= missed"
+(* A [Table] experiment prints the tables EXPERIMENTS.md quotes; a
+   [Checked] one also returns a record whose checks gate the exit
+   status. *)
+type experiment = Table of (unit -> unit) | Checked of (unit -> record)
 
 let experiments =
   [
-    ("T1", t1); ("F1", f1); ("F2", f2); ("F3", f3);
-    ("E1", e1); ("E2", e2); ("E3", e3); ("E4", e4); ("E5", e5);
-    ("E6", e6); ("E7", e7); ("E8", e8); ("E9", e9); ("E10", e10);
-    ("ABLATE", ablations);
-    ("PAR", par_bench);
-    ("OPT", opt_bench);
-    ("VEC", vec_bench);
-    ("CACHE", cache_bench);
-    ("AVAIL", avail);
-    ("SERVE", serve_bench);
-    ("SHARD", shard_bench);
-    ("CLUSTER", cluster_bench);
-    ("OVERHEAD", overhead);
-    ("MICRO", bechamel_suite);
+    ("T1", Table t1); ("F1", Table f1); ("F2", Table f2); ("F3", Table f3);
+    ("E1", Table e1); ("E2", Table e2); ("E3", Table e3); ("E4", Table e4);
+    ("E5", Table e5); ("E6", Table e6); ("E7", Table e7); ("E8", Table e8);
+    ("E9", Table e9); ("E10", Table e10);
+    ("ABLATE", Table ablations);
+    ("PAR", Checked par_bench);
+    ("OPT", Checked opt_bench);
+    ("VEC", Checked vec_bench);
+    ("CACHE", Checked cache_bench);
+    ("AVAIL", Checked avail);
+    ("SHARD", Checked shard_bench);
+    ("MICRO", Table bechamel_suite);
   ]
+
+(* Experiments share one process, so each starts from the state a fresh
+   process has: no pool workers, default jobs, metrics off, no faults. *)
+let reset_process_state () =
+  Genalg_par.Par.shutdown ();
+  Genalg_par.Par.set_jobs (Genalg_par.Par.default_jobs ());
+  Obs.set_enabled false;
+  Obs.reset ();
+  Genalg_fault.Fault.disable ();
+  Gc.compact ()
 
 let () =
   let requested =
@@ -2508,14 +2032,35 @@ let () =
     | _ :: (_ :: _ as ids) -> List.map String.uppercase_ascii ids
     | _ -> List.map fst experiments
   in
+  (match List.filter (fun id -> not (List.mem_assoc id experiments)) requested with
+  | [] -> ()
+  | unknown ->
+      Printf.eprintf "unknown experiment(s): %s (known: %s)\n"
+        (String.concat ", " unknown)
+        (String.concat ", " (List.map fst experiments));
+      exit 2);
   Printf.printf
     "Genomics Algebra reproduction benchmarks (Hammer & Schneider, CIDR 2003)\n";
   Printf.printf "experiments: %s\n" (String.concat ", " requested);
   let t0 = Unix.gettimeofday () in
-  List.iter
-    (fun id ->
-      match List.assoc_opt id experiments with
-      | Some f -> f ()
-      | None -> Printf.eprintf "unknown experiment %s\n" id)
-    requested;
-  Printf.printf "\ntotal benchmark time: %.1f s\n" (Unix.gettimeofday () -. t0)
+  let failed =
+    List.concat_map
+      (fun id ->
+        reset_process_state ();
+        match List.assoc id experiments with
+        | Table f ->
+            f ();
+            []
+        | Checked f ->
+            let r = f () in
+            print_endline (Json.to_string (json_of_record r));
+            List.filter_map
+              (fun (name, ok) -> if ok then None else Some (r.id ^ "." ^ name))
+              r.checks)
+      requested
+  in
+  Printf.printf "\ntotal benchmark time: %.1f s\n" (Unix.gettimeofday () -. t0);
+  if failed <> [] then begin
+    List.iter (Printf.eprintf "check failed: %s\n") failed;
+    exit 1
+  end

@@ -82,125 +82,10 @@ dune exec bin/genalg.exe -- query "$DB" \
 
 rm -rf "$(dirname "$DB")"
 
-echo "== smoke: cache layers (CACHE bench, warm hit rate must be nonzero) =="
-CACHE_OUT=$(dune exec bench/main.exe -- CACHE)
-echo "$CACHE_OUT"
-echo "$CACHE_OUT" | grep -q "cache-smoke: warm-hit-rate-nonzero=yes" || {
-  echo "cache smoke FAILED: warm hit rate is zero" >&2
-  exit 1
-}
-
-echo "== smoke: parallel engine (PAR bench: hash join >=2x, jobs-identical) =="
-PAR_OUT=$(GENALG_PAR_N=2500 dune exec bench/main.exe -- PAR)
-echo "$PAR_OUT"
-echo "$PAR_OUT" | grep -q "par-smoke: hash-join-2x=yes" || {
-  echo "parallel smoke FAILED: hash join is not >=2x faster than nested loop" >&2
-  exit 1
-}
-echo "$PAR_OUT" | grep -q "par-smoke: jobs-results-identical=yes" || {
-  echo "parallel smoke FAILED: jobs>1 changed query or alignment results" >&2
-  exit 1
-}
-
-echo "== smoke: cost-based optimizer (OPT bench: never loses, plans differ) =="
-OPT_OUT=$(dune exec bench/main.exe -- OPT)
-echo "$OPT_OUT"
-echo "$OPT_OUT" | grep -q "opt-smoke: never-loses=yes" || {
-  echo "optimizer smoke FAILED: cost-based plans lost to the unanalyzed ones beyond noise" >&2
-  exit 1
-}
-echo "$OPT_OUT" | grep -q "opt-smoke: results-identical=yes" || {
-  echo "optimizer smoke FAILED: cost-based planner changed a result set" >&2
-  exit 1
-}
-echo "$OPT_OUT" | grep -q "opt-smoke: plans-differ=yes" || {
-  echo "optimizer smoke FAILED: statistics never changed a chosen access path" >&2
-  exit 1
-}
-
-echo "== smoke: vectorized scans (VEC bench: results match a naive reference) =="
-VEC_OUT=$(GENALG_VEC_N=4000 dune exec bench/main.exe -- VEC)
-echo "$VEC_OUT"
-echo "$VEC_OUT" | grep -q "vec-smoke: results-identical=yes" || {
-  echo "vectorized smoke FAILED: vectorized scan disagrees with the naive reference" >&2
-  exit 1
-}
-echo "$VEC_OUT" | grep -q "vec-smoke: jobs-results-identical=yes" || {
-  echo "vectorized smoke FAILED: jobs>1 changed vectorized results" >&2
-  exit 1
-}
-
-echo "== smoke: availability under faults (AVAIL bench + crash matrix) =="
-AVAIL_OUT=$(dune exec bench/main.exe -- AVAIL)
-echo "$AVAIL_OUT"
-echo "$AVAIL_OUT" | grep -q "avail-smoke: zero-faults-when-disabled=yes" || {
-  echo "availability smoke FAILED: faults fired with injection disabled" >&2
-  exit 1
-}
-echo "$AVAIL_OUT" | grep -q "avail-smoke: deterministic=yes" || {
-  echo "availability smoke FAILED: replay under a fixed seed was not reproducible" >&2
-  exit 1
-}
-echo "$AVAIL_OUT" | grep -q "avail-smoke: warehouse-ge-mediator=yes" || {
-  echo "availability smoke FAILED: warehouse availability fell below the mediator's" >&2
-  exit 1
-}
-echo "$AVAIL_OUT" | grep -q "avail-smoke: crash-recovery=ok" || {
-  echo "availability smoke FAILED: a crash point left the database torn" >&2
-  exit 1
-}
-
-echo "== smoke: serve layer (SERVE bench: concurrent sessions + WAL recovery) =="
-SERVE_OUT=$(dune exec bench/main.exe -- SERVE)
-echo "$SERVE_OUT"
-echo "$SERVE_OUT" | grep -q "serve-smoke: sessions=8 zero-failed=yes" || {
-  echo "serve smoke FAILED: a query failed under 8 concurrent sessions" >&2
-  exit 1
-}
-echo "$SERVE_OUT" | grep -q "serve-smoke: p99-reported=yes" || {
-  echo "serve smoke FAILED: no p99 latency reported" >&2
-  exit 1
-}
-echo "$SERVE_OUT" | grep -q "serve-smoke: wal-recovery=ok" || {
-  echo "serve smoke FAILED: WAL replay lost an acknowledged commit" >&2
-  exit 1
-}
-echo "$SERVE_OUT" | grep -q "serve-smoke: wal-crash-matrix=ok" || {
-  echo "serve smoke FAILED: a group-commit crash point lost an acked commit" >&2
-  exit 1
-}
-
-echo "== smoke: sharding (SHARD bench: pruning scaling, identical results, failover) =="
-SHARD_OUT=$(dune exec bench/main.exe -- SHARD)
-echo "$SHARD_OUT"
-echo "$SHARD_OUT" | grep -q "shard-smoke: scan-scaling-1.6x=yes" || {
-  echo "shard smoke FAILED: 4-shard pruned scans are not >=1.6x one shard" >&2
-  exit 1
-}
-echo "$SHARD_OUT" | grep -q "shard-smoke: results-identical=yes" || {
-  echo "shard smoke FAILED: scatter-gather changed a result or an error" >&2
-  exit 1
-}
-echo "$SHARD_OUT" | grep -q "shard-smoke: failover-40of40=yes" || {
-  echo "shard smoke FAILED: a query failed under the crash-looping primary" >&2
-  exit 1
-}
-
-echo "== smoke: cluster durability (CLUSTER bench: crash matrix + bounded resync) =="
-CLUSTER_OUT=$(dune exec bench/main.exe -- CLUSTER)
-echo "$CLUSTER_OUT"
-echo "$CLUSTER_OUT" | grep -q "cluster-smoke: crash-matrix-40of40=yes" || {
-  echo "cluster smoke FAILED: a crash-matrix query diverged from the single-node engine" >&2
-  exit 1
-}
-echo "$CLUSTER_OUT" | grep -q "cluster-smoke: resync-bounded=yes" || {
-  echo "cluster smoke FAILED: resync replayed more statements than members missed" >&2
-  exit 1
-}
-echo "$CLUSTER_OUT" | grep -q "cluster-smoke: recovery=ok" || {
-  echo "cluster smoke FAILED: a restarted coordinator did not heal back to serving" >&2
-  exit 1
-}
+echo "== experiments: checked records (exit status gates every check) =="
+# Each checked experiment prints one JSON record; bench/main.exe exits
+# non-zero and names every false check.
+GENALG_PAR_N=2500 GENALG_VEC_N=4000 dune exec bench/main.exe -- CACHE PAR OPT VEC AVAIL SHARD
 
 echo "== docs: index completeness + intra-repo link integrity =="
 for f in docs/*.md; do

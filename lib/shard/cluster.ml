@@ -1130,92 +1130,77 @@ let explain_cluster t ~actor ~analyze select =
     let* rs = Exec.explain t.mirror_db ~actor ~analyze select in
     Ok (plan_rows (header :: List.map (fun l -> "  " ^ l) (rows_to_lines rs)))
   in
-  let decomposed =
+  (* a shardable SELECT: what each shard runs, and how its rows merge *)
+  let explain_scatter shard_select gather_line =
+    if analyze then begin
+      let* outcome = scatter_select t ~actor select in
+      let rep = last_report t in
+      match rep.fallback with
+      | Some reason ->
+          mirror_explain (Printf.sprintf "Gather-all (fallback: %s)" reason)
+      | None ->
+          let rows_out =
+            match outcome with
+            | Exec.Rows rs -> List.length rs.Exec.rows
+            | _ -> 0
+          in
+          Ok
+            (plan_rows
+               [
+                 Printf.sprintf
+                   "Scatter-gather (shards=%d gathered=%d failed-over=%d)" n
+                   rep.gathered rep.failed_over;
+                 "  " ^ gather_line;
+                 Printf.sprintf "  rows=%d" rows_out;
+               ])
+    end
+    else begin
+      let targets = prune t select in
+      let partition =
+        match select.Ast.from with
+        | [ (table, _) ] -> (
+            match pcol_of t table with Some c -> c | None -> "none")
+        | _ -> "none"
+      in
+      let header =
+        Printf.sprintf "Scatter-gather (shards=%d, targets=%d, partition=%s)"
+          n (List.length targets) partition
+      in
+      let shard_plan =
+        match targets with
+        | [] -> [ "  (no targets)" ]
+        | i0 :: _ -> (
+            match
+              try_endpoint ~actor t.shards.(i0).primary.m_ep
+                (Ast.Explain { analyze = false; select = shard_select })
+            with
+            | Ok (Exec.Rows rs) ->
+                Printf.sprintf "  shard %d plan:" i0
+                :: List.map (fun l -> "    " ^ l) (rows_to_lines rs)
+            | Ok _ | Error _ -> [ "  (shard plan unavailable)" ])
+      in
+      Ok (plan_rows ((header :: shard_plan) @ [ "  " ^ gather_line ]))
+    end
+  in
+  match
     Scatter.decompose
       ~star_columns:(star_columns t ~actor select)
       ~has_index:(has_index t ~actor select)
       select
-  in
-  match decomposed with
+  with
   | Scatter.Not_shardable reason ->
       mirror_explain (Printf.sprintf "Gather-all (fallback: %s)" reason)
-  | Scatter.Plain _ | Scatter.Grouped _ ->
-      if analyze then begin
-        let* outcome = scatter_select t ~actor select in
-        let rep = last_report t in
-        match rep.fallback with
-        | Some reason ->
-            mirror_explain (Printf.sprintf "Gather-all (fallback: %s)" reason)
-        | None ->
-            let rows_out =
-              match outcome with
-              | Exec.Rows rs -> List.length rs.Exec.rows
-              | _ -> 0
-            in
-            let gather_line =
-              match decomposed with
-              | Scatter.Plain p ->
-                  "Gather: merge on __grid"
-                  ^ (if p.Scatter.p_order <> [] then "; sort" else "")
-                  ^ (match p.Scatter.p_limit with
-                    | Some l -> Printf.sprintf "; limit %d" l
-                    | None -> "")
-              | Scatter.Grouped _ ->
-                  "Gather: merge partial aggregates; groups by first occurrence"
-              | Scatter.Not_shardable _ -> ""
-            in
-            Ok
-              (plan_rows
-                 [
-                   Printf.sprintf
-                     "Scatter-gather (shards=%d gathered=%d failed-over=%d)" n
-                     rep.gathered rep.failed_over;
-                   "  " ^ gather_line;
-                   Printf.sprintf "  rows=%d" rows_out;
-                 ])
-      end
-      else begin
-        let targets = prune t select in
-        let partition =
-          match select.Ast.from with
-          | [ (table, _) ] -> (
-              match pcol_of t table with Some c -> c | None -> "none")
-          | _ -> "none"
-        in
-        let header =
-          Printf.sprintf "Scatter-gather (shards=%d, targets=%d, partition=%s)"
-            n (List.length targets) partition
-        in
-        let shard_select, gather_line =
-          match decomposed with
-          | Scatter.Plain p ->
-              ( p.Scatter.p_shard,
-                "Gather: merge on __grid"
-                ^ (if p.Scatter.p_order <> [] then "; sort" else "")
-                ^ (match p.Scatter.p_limit with
-                  | Some l -> Printf.sprintf "; limit %d" l
-                  | None -> "") )
-          | Scatter.Grouped g ->
-              ( g.Scatter.g_shard,
-                "Gather: merge partial aggregates; groups by first occurrence"
-              )
-          | Scatter.Not_shardable _ -> assert false
-        in
-        let shard_plan =
-          match targets with
-          | [] -> [ "  (no targets)" ]
-          | i0 :: _ -> (
-              match
-                try_endpoint ~actor t.shards.(i0).primary.m_ep
-                  (Ast.Explain { analyze = false; select = shard_select })
-              with
-              | Ok (Exec.Rows rs) ->
-                  Printf.sprintf "  shard %d plan:" i0
-                  :: List.map (fun l -> "    " ^ l) (rows_to_lines rs)
-              | Ok _ | Error _ -> [ "  (shard plan unavailable)" ])
-        in
-        Ok (plan_rows ((header :: shard_plan) @ [ "  " ^ gather_line ]))
-      end
+  | Scatter.Plain p ->
+      explain_scatter p.Scatter.p_shard
+        ("Gather: merge on __grid"
+        ^ (if p.Scatter.p_order <> [] then "; sort" else "")
+        ^
+        match p.Scatter.p_limit with
+        | Some l -> Printf.sprintf "; limit %d" l
+        | None -> "")
+  | Scatter.Grouped g ->
+      explain_scatter g.Scatter.g_shard
+        "Gather: merge partial aggregates; groups by first occurrence"
 
 (* ------------------------------------------------------------------ *)
 (* Writes and DDL                                                      *)

@@ -153,12 +153,11 @@ let eval_in_group db group expr =
 (* ------------------------------------------------------------------ *)
 (* Parallel row filtering and join expansion.
 
-   Rows are decoded from the heap sequentially (page reads tick
-   unsynchronized Obs counters); the decoded, immutable binding arrays
-   are then partitioned over the {!Par} pool. Each partition writes only
-   its own slot and partitions are merged in input order, so results —
-   including which error surfaces first — are identical for any jobs
-   setting. *)
+   The heap already holds rows as immutable arrays; a scan gathers them
+   sequentially and the binding arrays are then partitioned over the
+   {!Par} pool. Each partition writes only its own slot and partitions
+   are merged in input order, so results — including which error
+   surfaces first — are identical for any jobs setting. *)
 
 let par_row_threshold = 256
 
@@ -208,15 +207,17 @@ let scan_table db ~actor (tp : Plan.table_plan) =
       let from_rids rids =
         List.filter_map (fun rid -> Table.get table rid) rids
       in
+      let full_scan () =
+        let acc = ref [] in
+        Table.scan table (fun _ row -> acc := row :: !acc);
+        List.rev !acc
+      in
       (* when a genomic access path cannot serve the pattern, fall back
          to a scan and re-apply the containment predicate *)
       let fallback_filter = ref [] in
       let raw_rows =
         match tp.Plan.access with
-        | Plan.Full_scan ->
-            let acc = ref [] in
-            Table.scan table (fun _ row -> acc := row :: !acc);
-            List.rev !acc
+        | Plan.Full_scan -> full_scan ()
         | Plan.Genomic_contains { column; pattern } -> (
             match Table.genomic_search table ~column ~pattern with
             | `Hits rids -> from_rids rids
@@ -225,35 +226,24 @@ let scan_table db ~actor (tp : Plan.table_plan) =
                   [ Ast.Fn
                       ( "contains",
                         [ Ast.Col (None, column); Ast.Lit (D.Str pattern) ] ) ];
-                let acc = ref [] in
-                Table.scan table (fun _ row -> acc := row :: !acc);
-                List.rev !acc)
+                full_scan ())
         | Plan.Genomic_seed { column; pattern; min_len; _ } -> (
             (* candidate superset only: the resembles conjunct is still in
                tp.filters, so falling back to a full scan — or candidates
                that over-approximate — never changes results *)
             match Table.genomic_seed table ~column ~pattern ~min_len with
             | `Hits rids -> from_rids rids
-            | `No_index | `Unsupported_pattern ->
-                let acc = ref [] in
-                Table.scan table (fun _ row -> acc := row :: !acc);
-                List.rev !acc)
+            | `No_index | `Unsupported_pattern -> full_scan ())
         | Plan.Index_eq { column; key } -> (
             match Table.index_lookup table ~column key with
             | Some rids -> from_rids rids
-            | None ->
-                let acc = ref [] in
-                Table.scan table (fun _ row -> acc := row :: !acc);
-                List.rev !acc)
+            | None -> full_scan ())
         | Plan.Index_range { column; lo; hi; lo_inclusive; hi_inclusive } -> (
             match
               Table.index_range table ~column ?lo ?hi ~lo_inclusive ~hi_inclusive ()
             with
             | Some rids -> from_rids rids
-            | None ->
-                let acc = ref [] in
-                Table.scan table (fun _ row -> acc := row :: !acc);
-                List.rev !acc)
+            | None -> full_scan ())
       in
       let bindings_of row = { alias = tp.Plan.alias; schema; values = row } in
       (* apply pushed-down filters in plan order, over parallel

@@ -582,6 +582,79 @@ let test_reserved_actor_refused () =
   checkb "write under a reserved actor refused" true
     (str_contains e2 "reserved")
 
+(* A crash matrix: no fault or a crash-looping shard spec, crossed with
+   four coordinator restarts (kept running, clean close, abandoned
+   without close, abandoned with a torn statement-log tail). Each cell
+   writes while members are down, runs five corpus queries under the
+   active faults, restarts and heals. All 40 queries must be
+   byte-identical to the single node, resync must replay at most the
+   statements members missed, and epochs never go back. *)
+let test_crash_matrix () =
+  Obs.set_enabled true;
+  with_tmp_dir (fun tmp ->
+      let dir = Filename.concat tmp "coord" in
+      let single = fresh_single () in
+      let cl = ref (ok (Cluster.create_local ~attach ~shards:4 ~dir ())) in
+      run_seed (Cluster.query !cl ~actor);
+      let replayed0 = Obs.value (Obs.counter "shard.resync.replayed") in
+      let specs =
+        [ None; Some "seed=11;shard.1.primary:error:p=0.6;shard.2.primary:crash:p=0.35" ]
+      in
+      let restarts = [ `Keep; `Clean_close; `Abandon; `Abandon_torn ] in
+      let queries = ref 0 and writes = ref 0 and missed = ref 0 in
+      List.iter
+        (fun spec ->
+          List.iter
+            (fun restart ->
+              Option.iter (fun s -> ok (Fault.configure s)) spec;
+              (* writes land while members are down; the statement log
+                 holds their delta for resync *)
+              for _ = 1 to 2 do
+                let sql =
+                  Printf.sprintf
+                    "INSERT INTO seqs VALUES ('%s','MTX%02d',%d,2.5,'ACGT')"
+                    organisms.(!writes mod 4) !writes (41 + !writes)
+                in
+                incr writes;
+                ignore (ok (Cluster.query !cl ~actor sql));
+                ignore (ok (Exec.query single ~actor sql));
+                Array.iter
+                  (fun st -> if st <> Cluster.Serving then incr missed)
+                  (Cluster.shard_states !cl)
+              done;
+              for _ = 1 to 5 do
+                assert_same single !cl
+                  (List.nth corpus (!queries mod List.length corpus));
+                incr queries
+              done;
+              Fault.disable ();
+              let epochs = Array.init (Cluster.shard_count !cl) (Cluster.epoch !cl) in
+              (match restart with
+              | `Keep -> ()
+              | `Clean_close ->
+                  Cluster.close !cl;
+                  cl := ok (Cluster.open_dir ~attach ~dir ())
+              | (`Abandon | `Abandon_torn) as r ->
+                  (* a coordinator crash: the handle is dropped; every
+                     statement reached the log when it ran *)
+                  if r = `Abandon_torn then
+                    Out_channel.with_open_gen [ Open_append; Open_binary ] 0o600
+                      (Filename.concat dir "statements.log")
+                      (fun oc -> output_string oc "\x7f\x00torn-tail-garbage\x01\x02");
+                  cl := ok (Cluster.open_dir ~attach ~dir ()));
+              Array.iteri
+                (fun i e0 -> checkb "epoch never goes back" true (Cluster.epoch !cl i >= e0))
+                epochs;
+              heal !cl)
+            restarts)
+        specs;
+      checki "matrix queries identical to single node" 40 !queries;
+      let replayed = Obs.value (Obs.counter "shard.resync.replayed") - replayed0 in
+      checkb "resync replayed something" true (replayed > 0);
+      checkb "bounded: replayed <= statements missed" true (replayed <= !missed);
+      checkb "every shard back in serving" true (all_serving !cl);
+      Cluster.close !cl)
+
 (* ---- remote acceptance: crash a shard server AND the coordinator ------- *)
 
 let topology2 i = Printf.sprintf "shard %d/2" i
@@ -757,6 +830,8 @@ let suites =
           test_log_flush_failure_wedges;
         Alcotest.test_case "reserved '@' actor names refused" `Quick
           test_reserved_actor_refused;
+        Alcotest.test_case "crash matrix: faults x coordinator restarts" `Quick
+          test_crash_matrix;
       ] );
     ( "cluster.remote-recovery",
       [

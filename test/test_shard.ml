@@ -80,9 +80,7 @@ let row_bytes rows =
 
 (* byte-identical: same outcome constructor, same columns, same rows in
    the same order (or the same error message) *)
-let assert_same single cl sql =
-  let a = Exec.query single ~actor sql in
-  let b = Cluster.query cl ~actor sql in
+let same_outcome sql a b =
   match a, b with
   | Ok (Exec.Rows ra), Ok (Exec.Rows rb) ->
       check (sql ^ " [columns]")
@@ -93,6 +91,10 @@ let assert_same single cl sql =
   | Ok Exec.Executed, Ok Exec.Executed -> ()
   | Error ea, Error eb -> check (sql ^ " [error]") ea eb
   | _ -> Alcotest.failf "%s: outcomes diverge" sql
+
+let assert_same single cl sql =
+  let a = Exec.query single ~actor sql in
+  same_outcome sql a (Cluster.query cl ~actor sql)
 
 let corpus =
   [
@@ -251,6 +253,34 @@ let test_crash_looping_shard () =
         assert_same single cl "SELECT organism, count(*) FROM seqs GROUP BY organism"
       done;
       Fault.disable ())
+
+(* 40 pruned aggregates and top-k scans under a seeded mix of an erroring
+   and a crash-looping primary on a 4-shard cluster with replicas: every
+   query is answered, byte-identical to the single node *)
+let test_seeded_faults_40_queries () =
+  with_pair ~shards:4 (fun single cl ->
+      ok (Fault.configure "seed=7;shard.1.primary:error:p=0.7;shard.2.primary:crash:p=0.35");
+      let before = Cluster.failovers_total cl in
+      let answered = ref 0 in
+      for i = 0 to 39 do
+        let org = organisms.(i / 2 mod 4) and thr = 40 + (i * 13 mod 60) in
+        let sql =
+          if i mod 2 = 0 then
+            Printf.sprintf
+              "SELECT count(*), sum(len), avg(score) FROM seqs WHERE organism = '%s' AND len >= %d"
+              org thr
+          else
+            Printf.sprintf
+              "SELECT accession, len FROM seqs WHERE organism = '%s' AND len < %d ORDER BY len, accession LIMIT 5"
+              org thr
+        in
+        let a = Exec.query single ~actor sql in
+        let b = Cluster.query cl ~actor sql in
+        same_outcome sql a b;
+        if Result.is_ok b then incr answered
+      done;
+      checki "all 40 answered" 40 !answered;
+      checkb "the faults forced failovers" true (Cluster.failovers_total cl > before))
 
 let test_replica_consistency () =
   with_pair (fun _single cl ->
@@ -580,6 +610,8 @@ let suites =
           test_dead_shard_falls_back_to_mirror;
         Alcotest.test_case "crash-looping primary" `Quick
           test_crash_looping_shard;
+        Alcotest.test_case "seeded faults: 40 of 40 answered" `Quick
+          test_seeded_faults_40_queries;
         Alcotest.test_case "replicas stay consistent" `Quick
           test_replica_consistency;
       ] );
