@@ -1042,17 +1042,18 @@ let has_index t ~actor (select : Ast.select) column =
    scatter (the caller answers from the mirror instead) *)
 let gather t ~actor targets shard_select =
   let t0 = Obs.now_s () in
+  (* per-shard row lists, newest first, concatenated once at the end *)
   let rec loop acc = function
     | [] ->
         Obs.observe h_gather (Obs.now_s () -. t0);
-        Ok acc
+        Ok (List.concat (List.rev acc))
     | i :: rest -> (
         match shard_read t ~actor i (Ast.Select shard_select) with
         | None -> Error (Printf.sprintf "shard %d unavailable" i)
         | Some (Error msg) -> Error (Printf.sprintf "shard %d: %s" i msg)
         | Some (Ok (Exec.Rows rs)) ->
             t.rep.r_gathered <- t.rep.r_gathered + 1;
-            loop (acc @ rs.Exec.rows) rest
+            loop (rs.Exec.rows :: acc) rest
         | Some (Ok _) -> Error (Printf.sprintf "shard %d: unexpected reply" i))
   in
   loop [] targets

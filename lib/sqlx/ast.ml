@@ -182,6 +182,15 @@ let rec contains_aggregate = function
   | Not e | Neg e -> contains_aggregate e
   | Binop (_, a, b) -> contains_aggregate a || contains_aggregate b
 
+let item_name (e, alias) =
+  match alias with Some a -> a | None -> expr_to_string e
+
+let needs_grouping s =
+  s.group_by <> [] || s.having <> None
+  || (match s.projection with
+     | Star -> false
+     | Exprs items -> List.exists (fun (e, _) -> contains_aggregate e) items)
+
 let rec conjuncts = function
   | Binop (And, a, b) -> conjuncts a @ conjuncts b
   | e -> [ e ]

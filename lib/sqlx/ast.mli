@@ -64,6 +64,14 @@ val is_aggregate_fn : string -> bool
 
 val contains_aggregate : expr -> bool
 
+val item_name : expr * string option -> string
+(** Output column name of a projection item: its alias, else the
+    expression's text. *)
+
+val needs_grouping : select -> bool
+(** GROUP BY, HAVING or an aggregate in the projection: the SELECT
+    answers one row per group rather than one per input row. *)
+
 val conjuncts : expr -> expr list
 (** Flatten a tree of ANDs into its conjuncts. *)
 

@@ -113,6 +113,13 @@ let compute_aggregate db group name arg =
           Ok (List.fold_left (fun m v -> if D.compare_value v m > 0 then v else m) first rest))
   | other -> Error (Printf.sprintf "unknown aggregate %s" other)
 
+let rec map_result f = function
+  | [] -> Ok []
+  | x :: rest ->
+      let* y = f x in
+      let* ys = map_result f rest in
+      Ok (y :: ys)
+
 let rec fold_aggregates db group expr =
   match expr with
   | Ast.Count_star -> Ok (Ast.Lit (D.Int (List.length group)))
@@ -135,13 +142,6 @@ let rec fold_aggregates db group expr =
       let* b = fold_aggregates db group b in
       Ok (Ast.Binop (op, a, b))
   | Ast.Lit _ | Ast.Col _ -> Ok expr
-
-and map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-      let* y = f x in
-      let* ys = map_result f rest in
-      Ok (y :: ys)
 
 let eval_in_group db group expr =
   match group with
@@ -483,10 +483,101 @@ type op_profile = {
 
 let est_of = Option.map (fun e -> int_of_float (Float.round e))
 
-(* wrap the scan/join/group base in Sort, Limit and Select nodes; stage
-   times are measured from [t_query0] so every node is inclusive *)
-let assemble_profile ~(select : Ast.select) ~join_prof ~group_prof ~t_query0
-    ~t_after_sort ~t_after_limit ~n_sorted ~n_limited ~n_out =
+(* GROUP BY keys: two keys are one group when [D.compare_value] finds
+   every pair of values equal, so NULLs form one group and Int 1 meets
+   Float 1.0. *)
+module Group_keys = Map.Make (struct
+  type t = D.value list
+
+  let compare = List.compare D.compare_value
+end)
+
+(* ------------------------------------------------------------------ *)
+(* Query tail: HAVING, the per-group projection and ORDER BY keys, then
+   the stable sort and LIMIT. The scatter merge finishes its merged
+   groups through these same functions. *)
+
+type group =
+  | Empty_input
+  | Group of (Ast.expr -> (D.value, string) result)
+
+type keyed_row = D.value array * (D.value * bool) list
+
+let order_keys eval order_by =
+  map_result
+    (fun { Ast.key; ascending } ->
+      let* v = eval key in
+      Ok (v, ascending))
+    order_by
+
+let finish_groups ~items ~having ~order_by groups =
+  (* the one group of an aggregate query over no rows: only COUNT-like
+     aggregates make sense, any other item drops the row *)
+  let empty_value (e, _) =
+    match e with
+    | Ast.Count_star -> Ok (D.Int 0)
+    | Ast.Fn (name, _) when Ast.is_aggregate_fn name ->
+        Ok (if String.lowercase_ascii name = "count" then D.Int 0 else D.Null)
+    | _ -> Error "non-aggregate projection over empty input"
+  in
+  let rec loop acc = function
+    | [] -> Ok (List.rev acc)
+    | Empty_input :: rest -> (
+        match map_result empty_value items with
+        | Ok vs -> loop ((Array.of_list vs, []) :: acc) rest
+        | Error _ -> loop acc rest)
+    | Group eval :: rest ->
+        let* keep =
+          match having with
+          | None -> Ok true
+          | Some h -> (
+              let* v = eval h in
+              match v with
+              | D.Bool b -> Ok b
+              | D.Null -> Ok false
+              | v ->
+                  Error (Printf.sprintf "HAVING evaluated to %s" (D.value_to_display v)))
+        in
+        if not keep then loop acc rest
+        else
+          let* vs = map_result (fun (e, _) -> eval e) items in
+          let* ks = order_keys eval order_by in
+          loop ((Array.of_list vs, ks) :: acc) rest
+  in
+  loop [] groups
+
+let order_and_limit ?(on_sorted = ignore) ~limit (rows : keyed_row list) =
+  let rec compare_keys ka kb =
+    match ka, kb with
+    | (va, asc) :: ra, (vb, _) :: rb ->
+        let c = D.compare_value va vb in
+        if c <> 0 then if asc then c else -c else compare_keys ra rb
+    | _ -> 0
+  in
+  let sorted =
+    match rows with
+    | (_, _ :: _) :: _ ->
+        List.stable_sort (fun (_, ka) (_, kb) -> compare_keys ka kb) rows
+    | _ -> rows
+  in
+  on_sorted ();
+  match limit with
+  | None -> List.map fst sorted
+  | Some n -> List.filteri (fun i _ -> i < n) sorted |> List.map fst
+
+(* ORDER BY and LIMIT through the tail, wrapping the scan/join/group
+   base in Sort, Limit and Select nodes; stage times are measured from
+   [t_query0] so every node is inclusive *)
+let finish_profiled ~(select : Ast.select) ~join_prof ~group_prof ~t_query0 decorated =
+  let t_after_sort = ref t_query0 in
+  let rows =
+    order_and_limit
+      ~on_sorted:(fun () -> t_after_sort := Obs.now_s ())
+      ~limit:select.Ast.limit decorated
+  in
+  let t_after_limit = Obs.now_s () in
+  let n_out = List.length rows in
+  Obs.add c_rows_out n_out;
   let base = match group_prof with Some g -> g | None -> join_prof in
   let base =
     if select.Ast.order_by = [] then base
@@ -498,30 +589,22 @@ let assemble_profile ~(select : Ast.select) ~join_prof ~group_prof ~t_query0
                   (fun { Ast.key; ascending } ->
                     Ast.expr_to_string key ^ if ascending then "" else " DESC")
                   select.Ast.order_by));
-        actual_rows = n_sorted;
+        actual_rows = List.length decorated;
         est_rows = None;
-        elapsed_s = t_after_sort -. t_query0;
+        elapsed_s = !t_after_sort -. t_query0;
         children = [ base ] }
   in
   let base =
     match select.Ast.limit with
     | None -> base
     | Some n ->
-        { op = Printf.sprintf "Limit %d" n; actual_rows = n_limited;
+        { op = Printf.sprintf "Limit %d" n; actual_rows = n_out;
           est_rows = None; elapsed_s = t_after_limit -. t_query0;
           children = [ base ] }
   in
-  { op = "Select"; actual_rows = n_out; est_rows = None;
-    elapsed_s = Obs.now_s () -. t_query0; children = [ base ] }
-
-(* GROUP BY keys: two keys are one group when [D.compare_value] finds
-   every pair of values equal, so NULLs form one group and Int 1 meets
-   Float 1.0. *)
-module Group_keys = Map.Make (struct
-  type t = D.value list
-
-  let compare = List.compare D.compare_value
-end)
+  ( rows,
+    { op = "Select"; actual_rows = n_out; est_rows = None;
+      elapsed_s = Obs.now_s () -. t_query0; children = [ base ] } )
 
 let run_select_profiled ?(optimize = true) db ~actor (select : Ast.select) =
   Obs.add c_queries 1;
@@ -642,12 +725,6 @@ let run_select_profiled ?(optimize = true) db ~actor (select : Ast.select) =
         joined
   in
   (* projection setup *)
-  let needs_grouping =
-    select.Ast.group_by <> [] || select.Ast.having <> None
-    || (match select.Ast.projection with
-       | Ast.Star -> false
-       | Ast.Exprs items -> List.exists (fun (e, _) -> Ast.contains_aggregate e) items)
-  in
   let column_names bindings =
     let multi = List.length bindings > 1 in
     List.concat_map
@@ -658,11 +735,8 @@ let run_select_profiled ?(optimize = true) db ~actor (select : Ast.select) =
           (Schema.columns b.schema))
       bindings
   in
-  let item_name (e, alias) =
-    match alias with Some a -> a | None -> Ast.expr_to_string e
-  in
-  if not needs_grouping then begin
-    let* produced =
+  if not (Ast.needs_grouping select) then begin
+    let* columns, rows =
       match select.Ast.projection with
       | Ast.Star ->
           let rows =
@@ -701,98 +775,49 @@ let run_select_profiled ?(optimize = true) db ~actor (select : Ast.select) =
                       tps)
             | first :: _ -> column_names first
           in
-          Ok (columns, List.map (fun r -> (r, [])) rows, joined)
+          Ok (columns, rows)
       | Ast.Exprs items ->
-          let columns = List.map item_name items in
+          let columns = List.map Ast.item_name items in
           let rec per_row acc = function
             | [] -> Ok (List.rev acc)
             | bindings :: rest ->
                 let env = env_of db bindings in
-                let rec vals acc' = function
-                  | [] -> Ok (Array.of_list (List.rev acc'))
-                  | (e, _) :: more ->
-                      let* v = Eval.eval env e in
-                      vals (v :: acc') more
-                in
-                let* row = vals [] items in
-                per_row ((row, []) :: acc) rest
+                let* vs = map_result (fun (e, _) -> Eval.eval env e) items in
+                per_row (Array.of_list vs :: acc) rest
           in
           let* rows = per_row [] joined in
-          Ok (columns, rows, joined)
+          Ok (columns, rows)
     in
-    let columns, rows, contexts = produced in
-    (* ORDER BY over source rows *)
+    (* ORDER BY keys over source rows, once every row is projected: a
+       projection error anywhere wins over a key error *)
     let* decorated =
       let rec deco acc rows ctxs =
         match rows, ctxs with
-        | [], _ -> Ok (List.rev acc)
-        | (row, _) :: rrest, ctx :: crest ->
-            let env = env_of db ctx in
-            let rec keys acc' = function
-              | [] -> Ok (List.rev acc')
-              | { Ast.key; ascending } :: more ->
-                  let* v = Eval.eval env key in
-                  keys ((v, ascending) :: acc') more
-            in
-            let* ks = keys [] select.Ast.order_by in
+        | row :: rrest, ctx :: crest ->
+            let* ks = order_keys (Eval.eval (env_of db ctx)) select.Ast.order_by in
             deco ((row, ks) :: acc) rrest crest
-        | (row, _) :: rrest, [] -> deco ((row, []) :: acc) rrest []
+        | _ -> Ok (List.rev acc)
       in
-      deco [] rows contexts
+      deco [] rows joined
     in
-    let sorted =
-      if select.Ast.order_by = [] then decorated
-      else
-        List.stable_sort
-          (fun (_, ka) (_, kb) ->
-            let rec cmp = function
-              | [], [] -> 0
-              | (va, asc) :: ra, (vb, _) :: rb ->
-                  let c = D.compare_value va vb in
-                  if c <> 0 then if asc then c else -c else cmp (ra, rb)
-              | _ -> 0
-            in
-            cmp (ka, kb))
-          decorated
-    in
-    let t_after_sort = Obs.now_s () in
-    let limited =
-      match select.Ast.limit with
-      | None -> sorted
-      | Some n -> List.filteri (fun i _ -> i < n) sorted
-    in
-    let t_after_limit = Obs.now_s () in
-    let rows = List.map fst limited in
-    Obs.add c_rows_out (List.length rows);
-    let prof =
-      assemble_profile ~select ~join_prof ~group_prof:None ~t_query0 ~t_after_sort
-        ~t_after_limit ~n_sorted:(List.length sorted)
-        ~n_limited:(List.length limited) ~n_out:(List.length rows)
+    let rows, prof =
+      finish_profiled ~select ~join_prof ~group_prof:None ~t_query0 decorated
     in
     Ok ({ columns; rows }, prof)
   end
   else begin
-    (* grouping path *)
+    (* grouping path: an aggregate query without GROUP BY forms one
+       group over all rows, the empty-input group when there are none *)
     let* groups =
-      (* an aggregate query without GROUP BY forms one group over all rows
-         (and yields a single row even over the empty input only for
-         COUNT-style aggregates; we follow the common behaviour and return
-         one row when input is non-empty, zero-count row when empty) *)
       if select.Ast.group_by = [] then
-        Ok (match joined with [] -> [ ([], []) ] | _ -> [ ([], joined) ])
+        Ok [ (match joined with [] -> Empty_input | _ -> Group (eval_in_group db joined)) ]
       else
         let* keyed =
           let rec key_rows acc = function
             | [] -> Ok (List.rev acc)
             | bindings :: rest ->
                 let env = env_of db bindings in
-                let rec keys acc' = function
-                  | [] -> Ok (List.rev acc')
-                  | e :: more ->
-                      let* v = Eval.eval env e in
-                      keys (v :: acc') more
-                in
-                let* ks = keys [] select.Ast.group_by in
+                let* ks = map_result (Eval.eval env) select.Ast.group_by in
                 key_rows ((ks, bindings) :: acc) rest
           in
           key_rows [] joined
@@ -808,9 +833,9 @@ let run_select_profiled ?(optimize = true) db ~actor (select : Ast.select) =
             | None ->
                 let rows = ref [ row ] in
                 index := Group_keys.add k rows !index;
-                order := (k, rows) :: !order)
+                order := rows :: !order)
           keyed;
-        Ok (List.rev_map (fun (k, rows) -> (k, List.rev !rows)) !order)
+        Ok (List.rev_map (fun rows -> Group (eval_in_group db (List.rev !rows))) !order)
     in
     let items =
       match select.Ast.projection with
@@ -818,67 +843,9 @@ let run_select_profiled ?(optimize = true) db ~actor (select : Ast.select) =
       | Ast.Star -> []
     in
     let* out_rows =
-      let rec per_group acc = function
-        | [] -> Ok (List.rev acc)
-        | (_k, rows) :: rest ->
-            if rows = [] then begin
-              (* empty overall group: only COUNT-like aggregates make sense *)
-              let rec vals acc' = function
-                | [] -> Ok (Array.of_list (List.rev acc'))
-                | (e, _) :: more -> (
-                    match e with
-                    | Ast.Count_star -> vals (D.Int 0 :: acc') more
-                    | Ast.Fn (name, _) when Ast.is_aggregate_fn name ->
-                        vals
-                          ((if String.lowercase_ascii name = "count" then D.Int 0
-                            else D.Null)
-                          :: acc')
-                          more
-                    | _ -> Error "non-aggregate projection over empty input")
-              in
-              (match vals [] items with
-              | Ok row -> per_group ((row, []) :: acc) rest
-              | Error _ -> per_group acc rest)
-            end
-            else begin
-              (* HAVING *)
-              let* keep =
-                match select.Ast.having with
-                | None -> Ok true
-                | Some h -> (
-                    let* v = eval_in_group db rows h in
-                    match v with
-                    | D.Bool b -> Ok b
-                    | D.Null -> Ok false
-                    | v ->
-                        Error
-                          (Printf.sprintf "HAVING evaluated to %s"
-                             (D.value_to_display v)))
-              in
-              if not keep then per_group acc rest
-              else begin
-                let rec vals acc' = function
-                  | [] -> Ok (Array.of_list (List.rev acc'))
-                  | (e, _) :: more ->
-                      let* v = eval_in_group db rows e in
-                      vals (v :: acc') more
-                in
-                let* row = vals [] items in
-                (* order keys evaluated in-group *)
-                let rec keys acc' = function
-                  | [] -> Ok (List.rev acc')
-                  | { Ast.key; ascending } :: more ->
-                      let* v = eval_in_group db rows key in
-                      keys ((v, ascending) :: acc') more
-                in
-                let* ks = keys [] select.Ast.order_by in
-                per_group ((row, ks) :: acc) rest
-              end
-            end
-      in
-      per_group [] groups
+      finish_groups ~items ~having:select.Ast.having ~order_by:select.Ast.order_by
+        groups
     in
-    let t_after_group = Obs.now_s () in
     let group_prof =
       let op =
         (if select.Ast.group_by = [] then "Aggregate"
@@ -891,38 +858,13 @@ let run_select_profiled ?(optimize = true) db ~actor (select : Ast.select) =
         | Some h -> Printf.sprintf " having [%s]" (Ast.expr_to_string h)
       in
       { op; actual_rows = List.length out_rows; est_rows = None;
-        elapsed_s = t_after_group -. t_query0; children = [ join_prof ] }
+        elapsed_s = Obs.now_s () -. t_query0; children = [ join_prof ] }
     in
-    let sorted =
-      if select.Ast.order_by = [] then out_rows
-      else
-        List.stable_sort
-          (fun (_, ka) (_, kb) ->
-            let rec cmp = function
-              | [], [] -> 0
-              | (va, asc) :: ra, (vb, _) :: rb ->
-                  let c = D.compare_value va vb in
-                  if c <> 0 then if asc then c else -c else cmp (ra, rb)
-              | _ -> 0
-            in
-            cmp (ka, kb))
-          out_rows
+    let rows, prof =
+      finish_profiled ~select ~join_prof ~group_prof:(Some group_prof) ~t_query0
+        out_rows
     in
-    let t_after_sort = Obs.now_s () in
-    let limited =
-      match select.Ast.limit with
-      | None -> sorted
-      | Some n -> List.filteri (fun i _ -> i < n) sorted
-    in
-    let t_after_limit = Obs.now_s () in
-    let rows = List.map fst limited in
-    Obs.add c_rows_out (List.length rows);
-    let prof =
-      assemble_profile ~select ~join_prof ~group_prof:(Some group_prof) ~t_query0
-        ~t_after_sort ~t_after_limit ~n_sorted:(List.length sorted)
-        ~n_limited:(List.length limited) ~n_out:(List.length rows)
-    in
-    Ok ({ columns = List.map item_name items; rows }, prof)
+    Ok ({ columns = List.map Ast.item_name items; rows }, prof)
   end
 
 let run_select ?optimize db ~actor select =

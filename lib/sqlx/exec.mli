@@ -77,6 +77,46 @@ val query :
   (outcome, string) result
 (** Parse then {!run}. *)
 
+(** {1 Query tail}
+
+    What a SELECT does after its rows or groups exist: HAVING, the
+    per-group projection and ORDER BY keys, the stable sort and LIMIT.
+    The executor and the scatter merge ({!Scatter}) both finish through
+    these functions, so a sharded answer, and the error it surfaces, is
+    the single-node one by construction. *)
+
+module Group_keys : Map.S with type key = D.value list
+(** GROUP BY keys: two keys are one group when [D.compare_value] finds
+    every pair of values equal, so NULLs form one group and [Int 1]
+    meets [Float 1.0]. *)
+
+type group =
+  | Empty_input
+      (** the one group of an aggregate query over no rows: [count]
+          gives 0, other aggregates NULL, and any non-aggregate item
+          drops the row *)
+  | Group of (Ast.expr -> (D.value, string) result)
+      (** evaluates an expression in the group, aggregates over its rows *)
+
+type keyed_row = D.value array * (D.value * bool) list
+(** An output row with its ORDER BY key values and ascending flags. *)
+
+val finish_groups :
+  items:(Ast.expr * string option) list ->
+  having:Ast.expr option ->
+  order_by:Ast.order_item list ->
+  group list -> (keyed_row list, string) result
+(** Per group in order: HAVING (a non-boolean, non-NULL result is the
+    error ["HAVING evaluated to <v>"]), then the projection, then the
+    ORDER BY keys; the first error wins. *)
+
+val order_and_limit :
+  ?on_sorted:(unit -> unit) -> limit:int option -> keyed_row list ->
+  D.value array list
+(** Stable sort on the keys ([D.compare_value], descending keys
+    negated) when rows carry any, then LIMIT. [on_sorted] runs between
+    the two, for profile timestamps. *)
+
 (** {1 Result cache}
 
     {!run} and {!query} serve read-only SELECTs from a bounded LRU

@@ -37,9 +37,6 @@ type t =
 
 exception Reject of string
 
-let item_name (e, alias) =
-  match alias with Some a -> a | None -> Ast.expr_to_string e
-
 (* ------------------------------------------------------------------ *)
 (* Decomposition                                                       *)
 
@@ -70,32 +67,37 @@ let range_on_indexed ~alias ~has_index where =
           | _ -> false)
         (Ast.conjuncts w)
 
+let same_agg a b =
+  match a, b with
+  | A_count_star, A_count_star -> true
+  | A_count x, A_count y
+  | A_sum x, A_sum y
+  | A_min x, A_min y
+  | A_max x, A_max y
+  | A_avg x, A_avg y -> Ast.equal_expr x y
+  | _ -> false
+
+let agg_of_call name arg =
+  match String.lowercase_ascii name with
+  | "count" -> Some (A_count arg)
+  | "sum" -> Some (A_sum arg)
+  | "avg" -> Some (A_avg arg)
+  | "min" -> Some (A_min arg)
+  | "max" -> Some (A_max arg)
+  | _ -> None
+
 (* collect distinct aggregate occurrences (dedup by argument) *)
 let register aggs a =
-  let same b =
-    match a, b with
-    | A_count_star, A_count_star -> true
-    | A_count x, A_count y
-    | A_sum x, A_sum y
-    | A_min x, A_min y
-    | A_max x, A_max y
-    | A_avg x, A_avg y -> Ast.equal_expr x y
-    | _ -> false
-  in
-  if List.exists same !aggs then () else aggs := !aggs @ [ a ]
+  if not (List.exists (same_agg a) !aggs) then aggs := !aggs @ [ a ]
 
 let rec collect_aggs aggs e =
   match e with
   | Ast.Count_star -> register aggs A_count_star
-  | Ast.Fn (name, [ arg ]) when Ast.is_aggregate_fn name ->
+  | Ast.Fn (name, [ arg ]) when Ast.is_aggregate_fn name -> (
       if Ast.contains_aggregate arg then raise (Reject "nested aggregate");
-      (match String.lowercase_ascii name with
-      | "count" -> register aggs (A_count arg)
-      | "sum" -> register aggs (A_sum arg)
-      | "avg" -> register aggs (A_avg arg)
-      | "min" -> register aggs (A_min arg)
-      | "max" -> register aggs (A_max arg)
-      | other -> raise (Reject (Printf.sprintf "unknown aggregate %s" other)))
+      match agg_of_call name arg with
+      | Some a -> register aggs a
+      | None -> raise (Reject (Printf.sprintf "unknown aggregate %s" name)))
   | Ast.Fn (name, _) when Ast.is_aggregate_fn name ->
       raise (Reject (Printf.sprintf "aggregate %s with wrong arity" name))
   | Ast.Fn (_, args) -> List.iter (collect_aggs aggs) args
@@ -128,8 +130,6 @@ let agg_partial_items = function
   | A_max e -> [ (Ast.Fn ("max", [ e ]), None) ]
   | A_avg e -> [ (Ast.Fn ("sum", [ e ]), None); (Ast.Fn ("count", [ e ]), None) ]
 
-let agg_width = function A_avg _ -> 2 | _ -> 1
-
 let decompose ~star_columns ~has_index (select : Ast.select) : t =
   try
     let table_alias =
@@ -142,15 +142,7 @@ let decompose ~star_columns ~has_index (select : Ast.select) : t =
     | _ -> ());
     if range_on_indexed ~alias:table_alias ~has_index select.Ast.where then
       raise (Reject "range predicate on an indexed column (key-ordered plan)");
-    let needs_grouping =
-      select.Ast.group_by <> []
-      || select.Ast.having <> None
-      || (match select.Ast.projection with
-         | Ast.Star -> false
-         | Ast.Exprs items ->
-             List.exists (fun (e, _) -> Ast.contains_aggregate e) items)
-    in
-    if not needs_grouping then begin
+    if not (Ast.needs_grouping select) then begin
       if
         List.exists
           (fun { Ast.key; _ } -> Ast.contains_aggregate key)
@@ -158,7 +150,7 @@ let decompose ~star_columns ~has_index (select : Ast.select) : t =
       then raise (Reject "aggregate in ORDER BY without grouping");
       let items, columns =
         match select.Ast.projection with
-        | Ast.Exprs items -> (items, List.map item_name items)
+        | Ast.Exprs items -> (items, List.map Ast.item_name items)
         | Ast.Star -> (
             match star_columns () with
             | Error msg -> raise (Reject msg)
@@ -233,7 +225,7 @@ let decompose ~star_columns ~has_index (select : Ast.select) : t =
               order_by = [];
               limit = None;
             };
-          g_columns = List.map item_name items;
+          g_columns = List.map Ast.item_name items;
           g_nkeys = List.length keys;
           g_keys = keys;
           g_aggs = aggs;
@@ -246,55 +238,39 @@ let decompose ~star_columns ~has_index (select : Ast.select) : t =
   with Reject reason -> Not_shardable reason
 
 (* ------------------------------------------------------------------ *)
-(* Merging — every comparator and null rule below mirrors Exec          *)
-
-let sort_by_keys decorated =
-  List.stable_sort
-    (fun (_, ka) (_, kb) ->
-      let rec cmp = function
-        | [], [] -> 0
-        | (va, asc) :: ra, (vb, _) :: rb ->
-            let c = D.compare_value va vb in
-            if c <> 0 then if asc then c else -c else cmp (ra, rb)
-        | _ -> 0
-      in
-      cmp (ka, kb))
-    decorated
-
-let apply_limit limit rows =
-  match limit with
-  | None -> rows
-  | Some n -> List.filteri (fun i _ -> i < n) rows
+(* Merging: combine the shards' partials, then finish through the
+   executor's own tail (Exec.finish_groups, Exec.order_and_limit), so
+   HAVING, ORDER BY, LIMIT and the empty-input rule are its code       *)
 
 let merge_plain p gathered =
   let n_items = p.p_items in
+  let grid (row : D.value array) =
+    match row.(Array.length row - 1) with D.Int g -> g | _ -> max_int
+  in
+  (* restore the global scan order; the tail sorts on top of it *)
+  let in_grid_order =
+    List.sort
+      (fun (a, _) (b, _) -> Int.compare a b)
+      (List.map (fun row -> (grid row, row)) gathered)
+  in
   let decorated =
     List.map
-      (fun (row : D.value array) ->
-        let grid =
-          match row.(Array.length row - 1) with
-          | D.Int g -> g
-          | _ -> max_int
-        in
-        let keys =
-          List.mapi (fun i asc -> (row.(n_items + i), asc)) p.p_order
-        in
-        (grid, Array.sub row 0 n_items, keys))
-      gathered
+      (fun (_, row) ->
+        ( Array.sub row 0 n_items,
+          List.mapi (fun i asc -> (row.(n_items + i), asc)) p.p_order ))
+      in_grid_order
   in
-  (* restore the global scan order, then the user's ORDER BY on top *)
-  let in_grid_order =
-    List.sort (fun (a, _, _) (b, _, _) -> compare a b) decorated
-  in
-  let sorted =
-    let rows = List.map (fun (_, row, ks) -> (row, ks)) in_grid_order in
-    if p.p_order = [] then rows else sort_by_keys rows
-  in
-  let limited = apply_limit p.p_limit sorted in
-  { Exec.columns = p.p_columns; rows = List.map fst limited }
+  {
+    Exec.columns = p.p_columns;
+    rows = Exec.order_and_limit ~limit:p.p_limit decorated;
+  }
 
 (* partial-aggregate accumulators *)
-type sum_acc = { mutable seen : bool; mutable all_int : bool; mutable total : float }
+type sum_acc = {
+  mutable partials : int;  (* non-null partial sums fed *)
+  mutable all_int : bool;
+  mutable total : float;
+}
 
 type acc =
   | Acc_count of int ref                 (* count / count_star *)
@@ -302,27 +278,27 @@ type acc =
   | Acc_minmax of D.value option ref * int  (* dir: -1 min, +1 max *)
   | Acc_avg of sum_acc * int ref
 
+let fresh_sum () = { partials = 0; all_int = true; total = 0. }
+
 let fresh_acc = function
   | A_count_star | A_count _ -> Acc_count (ref 0)
-  | A_sum _ -> Acc_sum { seen = false; all_int = true; total = 0. }
+  | A_sum _ -> Acc_sum (fresh_sum ())
   | A_min _ -> Acc_minmax (ref None, -1)
   | A_max _ -> Acc_minmax (ref None, 1)
-  | A_avg _ -> Acc_avg ({ seen = false; all_int = true; total = 0. }, ref 0)
+  | A_avg _ -> Acc_avg (fresh_sum (), ref 0)
 
 let sum_feed (s : sum_acc) = function
-  | D.Null -> ()
   | D.Int i ->
-      s.seen <- true;
+      s.partials <- s.partials + 1;
       s.total <- s.total +. float_of_int i
   | D.Float f ->
-      s.seen <- true;
+      s.partials <- s.partials + 1;
       s.all_int <- false;
       s.total <- s.total +. f
-  | v ->
-      (* a shard-side partial is always numeric or Null; anything else
-         means the shard query itself errored, which the caller already
-         turned into a fallback *)
-      ignore v
+  | _ ->
+      (* Null; a shard-side partial is otherwise always numeric, or the
+         shard query itself errored and the caller already fell back *)
+      ()
 
 let feed acc (row : D.value array) pos =
   match acc with
@@ -333,206 +309,123 @@ let feed acc (row : D.value array) pos =
       sum_feed s row.(pos);
       pos + 1
   | Acc_minmax (best, dir) ->
-      (match row.(pos) with
-      | D.Null -> ()
-      | v -> (
-          match !best with
-          | None -> best := Some v
-          | Some m -> if D.compare_value v m * dir > 0 then best := Some v));
+      (match row.(pos), !best with
+      | D.Null, _ -> ()
+      | v, None -> best := Some v
+      | v, Some m -> if D.compare_value v m * dir > 0 then best := Some v);
       pos + 1
   | Acc_avg (s, n) ->
       sum_feed s row.(pos);
       (match row.(pos + 1) with D.Int k -> n := !n + k | _ -> ());
       pos + 2
 
+(* Float addition is not associative: the single node adds every value
+   in scan order, so partial float sums from several shards cannot
+   reproduce its bits. Such a group is refused, and the caller answers
+   from the mirror. *)
+let sum_total (s : sum_acc) =
+  if s.all_int || s.partials < 2 then Ok s.total
+  else Error "float SUM/AVG over partials of several shards"
+
 let acc_value = function
-  | Acc_count r -> D.Int !r
+  | Acc_count r -> Ok (D.Int !r)
   | Acc_sum s ->
-      if not s.seen then D.Null
-      else if s.all_int then D.Int (int_of_float s.total)
-      else D.Float s.total
-  | Acc_minmax (best, _) -> ( match !best with None -> D.Null | Some v -> v)
+      if s.partials = 0 then Ok D.Null
+      else
+        Result.map
+          (fun t -> if s.all_int then D.Int (int_of_float t) else D.Float t)
+          (sum_total s)
+  | Acc_minmax (best, _) -> Ok (Option.value !best ~default:D.Null)
   | Acc_avg (s, n) ->
-      if !n = 0 then D.Null else D.Float (s.total /. float_of_int !n)
+      if !n = 0 then Ok D.Null
+      else Result.map (fun t -> D.Float (t /. float_of_int !n)) (sum_total s)
 
 type group = {
   gkey : D.value list;
   gaccs : acc list;
   mutable gmin_grid : int;
-  mutable gcount_star : int;
 }
 
 let merge_grouped ~udts g gathered =
   let ( let* ) = Result.bind in
-  let groups : group list ref = ref [] in
-  let key_of row = Array.to_list (Array.sub row 0 g.g_nkeys) in
-  let same_key a b =
-    List.length a = List.length b
-    && List.for_all2 (fun x y -> D.compare_value x y = 0) a b
-  in
-  let feed_group grp row =
-    let pos = ref g.g_nkeys in
-    List.iter (fun acc -> pos := feed acc row !pos) grp.gaccs;
-    (match row.(Array.length row - 1) with
-    | D.Int grid -> if grid < grp.gmin_grid then grp.gmin_grid <- grid
-    | _ -> ());
-    (* track global row count for the empty-input quirk *)
-    let pos = ref g.g_nkeys in
-    List.iter2
-      (fun a acc ->
-        (match a, acc with
-        | A_count_star, Acc_count _ -> (
-            match row.(!pos) with
-            | D.Int n -> grp.gcount_star <- grp.gcount_star + n
-            | _ -> ())
-        | _ -> ());
-        pos := !pos + agg_width a)
-      g.g_aggs grp.gaccs
-  in
+  let index = ref Exec.Group_keys.empty and order = ref [] in
   List.iter
     (fun (row : D.value array) ->
-      let key = key_of row in
-      match List.find_opt (fun grp -> same_key grp.gkey key) !groups with
-      | Some grp -> feed_group grp row
-      | None ->
-          let grp =
-            {
-              gkey = key;
-              gaccs = List.map fresh_acc g.g_aggs;
-              gmin_grid = max_int;
-              gcount_star = 0;
-            }
-          in
-          feed_group grp row;
-          groups := !groups @ [ grp ])
+      let key = List.init g.g_nkeys (Array.get row) in
+      let grp =
+        match Exec.Group_keys.find_opt key !index with
+        | Some grp -> grp
+        | None ->
+            let grp =
+              { gkey = key; gaccs = List.map fresh_acc g.g_aggs; gmin_grid = max_int }
+            in
+            index := Exec.Group_keys.add key grp !index;
+            order := grp :: !order;
+            grp
+      in
+      ignore (List.fold_left (fun pos acc -> feed acc row pos) g.g_nkeys grp.gaccs);
+      match row.(Array.length row - 1) with
+      | D.Int grid when grid < grp.gmin_grid -> grp.gmin_grid <- grid
+      | _ -> ())
     gathered;
   (* global group order = first occurrence in the unpartitioned scan *)
   let ordered =
-    List.stable_sort (fun a b -> compare a.gmin_grid b.gmin_grid) !groups
-  in
-  (* merged value of each registered aggregate, in registry order *)
-  let merged_of grp =
-    let tbl = ref [] in
-    List.iter2 (fun a acc -> tbl := (a, acc_value acc) :: !tbl) g.g_aggs grp.gaccs;
-    List.rev !tbl
-  in
-  let find_merged merged a =
-    let same b =
-      match a, b with
-      | A_count_star, A_count_star -> true
-      | A_count x, A_count y
-      | A_sum x, A_sum y
-      | A_min x, A_min y
-      | A_max x, A_max y
-      | A_avg x, A_avg y -> Ast.equal_expr x y
-      | _ -> false
-    in
-    match List.find_opt (fun (b, _) -> same b) merged with
-    | Some (_, v) -> v
-    | None -> D.Null
+    List.stable_sort
+      (fun a b -> Int.compare a.gmin_grid b.gmin_grid)
+      (List.rev !order)
   in
   let env =
     { Eval.lookup = (fun _ n -> Error ("unknown column " ^ n)); udts }
   in
-  (* replace aggregates and group-key subtrees with their merged values,
-     then evaluate the residue like the executor evaluates in-group *)
-  let eval_in_group grp e =
-    let merged = merged_of grp in
-    let keyed e =
-      let rec idx i = function
-        | [] -> None
-        | k :: rest -> if Ast.equal_expr e k then Some i else idx (i + 1) rest
-      in
-      idx 0 g.g_keys
+  (* replace group-key subtrees and aggregates with the group's merged
+     values; the residue evaluates like the executor's in-group *)
+  let to_group grp =
+    let rec merge_values acc aggs accs =
+      match aggs, accs with
+      | a :: aggs, c :: accs ->
+          let* v = acc_value c in
+          merge_values ((a, v) :: acc) aggs accs
+      | _ -> Ok acc
     in
+    let* merged = merge_values [] g.g_aggs grp.gaccs in
+    let merged_of a =
+      match List.find_opt (fun (b, _) -> same_agg a b) merged with
+      | Some (_, v) -> v
+      | None -> D.Null
+    in
+    let keyed = List.combine g.g_keys grp.gkey in
     let rec subst e =
-      match keyed e with
-      | Some i -> Ast.Lit (List.nth grp.gkey i)
+      match List.find_opt (fun (k, _) -> Ast.equal_expr e k) keyed with
+      | Some (_, v) -> Ast.Lit v
       | None -> (
           match e with
-          | Ast.Count_star -> Ast.Lit (find_merged merged A_count_star)
-          | Ast.Fn (name, [ arg ]) when Ast.is_aggregate_fn name ->
-              let a =
-                match String.lowercase_ascii name with
-                | "count" -> A_count arg
-                | "sum" -> A_sum arg
-                | "avg" -> A_avg arg
-                | "min" -> A_min arg
-                | _ -> A_max arg
-              in
-              Ast.Lit (find_merged merged a)
+          | Ast.Count_star -> Ast.Lit (merged_of A_count_star)
+          | Ast.Fn (name, [ arg ]) when Ast.is_aggregate_fn name -> (
+              match agg_of_call name arg with
+              | Some a -> Ast.Lit (merged_of a)
+              | None -> e)
           | Ast.Fn (name, args) -> Ast.Fn (name, List.map subst args)
           | Ast.Not e -> Ast.Not (subst e)
           | Ast.Neg e -> Ast.Neg (subst e)
           | Ast.Binop (op, a, b) -> Ast.Binop (op, subst a, subst b)
           | Ast.Lit _ | Ast.Col _ -> e)
     in
-    Eval.eval env (subst e)
+    (* count-star is always registered: a group counting no rows is the
+       empty input of a query without GROUP BY *)
+    Ok
+      (match merged_of A_count_star with
+      | D.Int 0 -> Exec.Empty_input
+      | _ -> Exec.Group (fun e -> Eval.eval env (subst e)))
   in
-  let global_rows =
-    List.fold_left (fun n grp -> n + grp.gcount_star) 0 ordered
+  let rec to_groups acc = function
+    | [] -> Ok (List.rev acc)
+    | grp :: rest ->
+        let* group = to_group grp in
+        to_groups (group :: acc) rest
   in
-  let* out_rows =
-    let rec per_group acc = function
-      | [] -> Ok (List.rev acc)
-      | grp :: rest ->
-          if g.g_keys = [] && global_rows = 0 then begin
-            (* empty overall group: only COUNT-like aggregates make
-               sense — any other item silently drops the row (executor
-               quirk, reproduced bit for bit) *)
-            let rec vals acc' = function
-              | [] -> Ok (Array.of_list (List.rev acc'))
-              | (e, _) :: more -> (
-                  match e with
-                  | Ast.Count_star -> vals (D.Int 0 :: acc') more
-                  | Ast.Fn (name, _) when Ast.is_aggregate_fn name ->
-                      vals
-                        ((if String.lowercase_ascii name = "count" then
-                            D.Int 0
-                          else D.Null)
-                        :: acc')
-                        more
-                  | _ -> Error "non-aggregate projection over empty input")
-            in
-            match vals [] g.g_items with
-            | Ok row -> per_group ((row, []) :: acc) rest
-            | Error _ -> per_group acc rest
-          end
-          else begin
-            let* keep =
-              match g.g_having with
-              | None -> Ok true
-              | Some h -> (
-                  let* v = eval_in_group grp h in
-                  match v with
-                  | D.Bool b -> Ok b
-                  | D.Null -> Ok false
-                  | v ->
-                      Error
-                        (Printf.sprintf "HAVING evaluated to %s"
-                           (D.value_to_display v)))
-            in
-            if not keep then per_group acc rest
-            else
-              let rec vals acc' = function
-                | [] -> Ok (Array.of_list (List.rev acc'))
-                | (e, _) :: more ->
-                    let* v = eval_in_group grp e in
-                    vals (v :: acc') more
-              in
-              let* row = vals [] g.g_items in
-              let rec okeys acc' = function
-                | [] -> Ok (List.rev acc')
-                | { Ast.key; ascending } :: more ->
-                    let* v = eval_in_group grp key in
-                    okeys ((v, ascending) :: acc') more
-              in
-              let* ks = okeys [] g.g_order in
-              per_group ((row, ks) :: acc) rest
-          end
-    in
-    per_group [] ordered
+  let* groups = to_groups [] ordered in
+  let* rows =
+    Exec.finish_groups ~items:g.g_items ~having:g.g_having ~order_by:g.g_order
+      groups
   in
-  let sorted = if g.g_order = [] then out_rows else sort_by_keys out_rows in
-  let limited = apply_limit g.g_limit sorted in
-  Ok { Exec.columns = g.g_columns; rows = List.map fst limited }
+  Ok { Exec.columns = g.g_columns; rows = Exec.order_and_limit ~limit:g.g_limit rows }

@@ -10,23 +10,27 @@
     - {b Plain} (no grouping): each shard projects the original items,
       the ORDER BY key expressions, and the hidden insertion-order column
       [__grid]; the coordinator restores the global scan order by sorting
-      on [__grid], then applies the original ORDER BY (stable, same
-      comparator as the executor), LIMIT, and strips the helper columns.
+      on [__grid] and finishes through the executor's tail
+      ({!Exec.order_and_limit}): the stable ORDER BY, then LIMIT.
     - {b Grouped}: each shard computes {e partial aggregates} per group —
       [count]/[sum]/[min]/[max] merge directly, [avg] ships as a
       (sum, count) pair — plus a count-star and [min(__grid)] helper.
-      The coordinator unifies groups across shards by key, combines the
-      partials with the executor's exact null/typing rules, orders groups
-      by first global occurrence ([min(__grid)]), and evaluates HAVING,
-      the projection and ORDER BY keys over the merged values in the
-      executor's per-group order, so error precedence matches too.
+      The coordinator unifies groups across shards through the
+      executor's key map ({!Exec.Group_keys}), combines the partials,
+      orders groups by first global occurrence ([min(__grid)]), and
+      finishes them through the executor's own tail
+      ({!Exec.finish_groups}): HAVING, the projection, ORDER BY, LIMIT
+      and the empty-input rule are the executor's code, evaluated over
+      the merged values.
 
     Queries the rewrite cannot reproduce exactly — joins, [SELECT *] with
     grouping, nested aggregates, range predicates over indexed columns
     (whose single-node plan may emit in key order rather than scan
-    order) — come back as {!Not_shardable} with a reason; the cluster
-    then answers from its coordinator mirror, which {e is} the
-    single-node database, so the fallback is trivially identical. *)
+    order) — come back as {!Not_shardable} with a reason; a float SUM or
+    AVG with partials from several shards makes {!merge_grouped} return
+    [Error]. Either way the cluster answers from its coordinator mirror,
+    which {e is} the single-node database, so the fallback is trivially
+    identical. *)
 
 module D := Genalg_storage.Dtype
 
@@ -90,4 +94,6 @@ val merge_grouped :
 (** Merge gathered per-shard group rows (each
     [keys @ partials @ min-grid]) and finish the query at the
     coordinator. Errors carry the executor's message for the same
-    failure (e.g. ["HAVING evaluated to 3"]). *)
+    failure (e.g. ["HAVING evaluated to 3"]); a group whose SUM or AVG
+    has two or more non-null partials, any of them a [Float], is an
+    [Error] too, since float addition order would change its bits. *)

@@ -9,6 +9,8 @@ module Table = Genalg_storage.Table
 module Exec = Genalg_sqlx.Exec
 module Ast = Genalg_sqlx.Ast
 module Parser = Genalg_sqlx.Parser
+module Scatter = Genalg_sqlx.Scatter
+module Rng = Genalg_synth.Rng
 module Cluster = Genalg_shard.Cluster
 module Partitioner = Genalg_shard.Partitioner
 module Fault = Genalg_fault.Fault
@@ -381,30 +383,150 @@ let test_partition_column () =
     (Partitioner.partition_column [ col "len"; col "seq" ])
 
 (* QCheck over a random WHERE/ORDER/aggregate grammar: the cluster and
-   the single-node engine must agree byte for byte *)
+   the single-node engine must agree byte for byte. Groups keyed by [len]
+   span shards, so HAVING, ORDER BY over aggregates and LIMIT run on
+   merged partials; [len > 100] matches nothing and takes the
+   empty-input rule over every shard. *)
 let test_random_queries =
+  let plain_order =
+    [| ""; " ORDER BY accession DESC"; " ORDER BY len ASC, accession ASC" |]
+  and agg_order = [| ""; " ORDER BY count(*) DESC, len DESC"; " ORDER BY sum(len) ASC" |] in
   QCheck.Test.make ~count:60 ~name:"random scatter queries match single node"
     QCheck.(
       quad (oneofl [ "human"; "mouse"; "yeast"; "nope" ])
-        (oneofl [ 40; 46; 58; 70; 95 ])
-        (oneofl
-           [ ""; " ORDER BY accession DESC"; " ORDER BY len ASC, accession ASC" ])
+        (oneofl [ 40; 46; 58; 70; 95; 100 ])
+        (oneofl [ 0; 1; 2 ])
         (oneofl [ ""; " LIMIT 3"; " LIMIT 11" ]))
     (fun (org, len, order, limit) ->
       let sqls =
         [
           Printf.sprintf
             "SELECT accession, len FROM seqs WHERE organism = '%s' AND len > %d%s%s"
-            org len order limit;
+            org len plain_order.(order) limit;
           Printf.sprintf
             "SELECT organism, count(*), sum(len) FROM seqs WHERE len > %d GROUP BY organism%s"
             len
-            (if order = "" then "" else " ORDER BY organism DESC");
+            (if order = 0 then "" else " ORDER BY organism DESC");
+          Printf.sprintf
+            "SELECT len, count(*), sum(len), min(accession) FROM seqs WHERE len > %d GROUP BY len%s%s"
+            len agg_order.(order) limit;
+          Printf.sprintf
+            "SELECT len, count(*) FROM seqs GROUP BY len HAVING sum(len) >= %d%s%s"
+            (2 * len) agg_order.(order) limit;
+          Printf.sprintf
+            "SELECT organism, max(len) FROM seqs WHERE len > %d GROUP BY organism HAVING count(*) > 2 ORDER BY max(len) DESC%s"
+            len limit;
+          Printf.sprintf
+            "SELECT len FROM seqs WHERE len > %d GROUP BY len HAVING count(*) + 1"
+            len;
+          Printf.sprintf "SELECT len, avg(score) FROM seqs WHERE len > %d GROUP BY len" len;
+          Printf.sprintf
+            "SELECT count(*), sum(len), avg(len), max(accession) FROM seqs WHERE len > %d"
+            len;
+          Printf.sprintf "SELECT count(*), upper('x') FROM seqs WHERE len > %d" len;
         ]
       in
       with_pair (fun single cl ->
           List.iter (assert_same single cl) sqls;
           true))
+
+(* Float addition is not associative: float partial sums from several
+   shards cannot reproduce the single node's bits, so such a SUM or AVG
+   is answered by the mirror. One target and integer sums still scatter. *)
+let test_float_sum_identity () =
+  let orgs = [| "human"; "mouse"; "yeast"; "ecoli"; "fly"; "worm" |] in
+  let sqls =
+    "CREATE TABLE t (organism string, score float)"
+    :: List.init 200 (fun i ->
+           Printf.sprintf "INSERT INTO t VALUES ('%s', %.1f)" orgs.(i mod 6)
+             (0.1 +. (0.1 *. float_of_int (i mod 10))))
+  in
+  let single = Db.create () in
+  attach single;
+  List.iter (fun sql -> ignore (ok (Exec.query single ~actor sql))) sqls;
+  let cl = ok (Cluster.create_local ~attach ~shards:4 ()) in
+  List.iter (fun sql -> ignore (ok (Cluster.query cl ~actor sql))) sqls;
+  List.iter (assert_same single cl)
+    [
+      "SELECT sum(score) FROM t";
+      "SELECT avg(score) FROM t";
+      "SELECT organism, sum(score), avg(score) FROM t GROUP BY organism";
+      "SELECT sum(score), avg(score) FROM t WHERE organism = 'human'";
+    ];
+  let fallback sql =
+    ignore (ok (Cluster.query cl ~actor sql));
+    (Cluster.last_report cl).Cluster.fallback <> None
+  in
+  checkb "float sum over shards falls back" true (fallback "SELECT sum(score) FROM t");
+  checkb "single-target float sum scatters" false
+    (fallback "SELECT sum(score), avg(score) FROM t WHERE organism = 'human'");
+  checkb "count over shards scatters" false (fallback "SELECT count(*) FROM t");
+  with_pair (fun _single cl ->
+      ignore (ok (Cluster.query cl ~actor "SELECT sum(len), avg(len) FROM seqs"));
+      checkb "integer sum over shards scatters" true
+        ((Cluster.last_report cl).Cluster.fallback = None))
+
+(* The merge finds groups through the executor's key map, so allocation
+   per gathered row stays flat as groups grow; searching a list of
+   groups per row allocates O(rows x groups). *)
+let test_merge_many_groups () =
+  let g =
+    match Parser.parse "SELECT k, count(*), sum(v) FROM t GROUP BY k" with
+    | Ok (Ast.Select s) -> (
+        match
+          Scatter.decompose ~star_columns:(fun () -> Ok []) ~has_index:(fun _ -> false) s
+        with
+        | Scatter.Grouped g -> g
+        | _ -> Alcotest.fail "expected a grouped decomposition")
+    | _ -> Alcotest.fail "parse"
+  in
+  let shards = 4 and groups = 5000 in
+  let rng = Rng.make 2404 in
+  (* every shard reports every group, in its own order; each row gets a
+     distinct insertion position *)
+  let grids = Array.init (shards * groups) Fun.id in
+  Rng.shuffle rng grids;
+  let gathered =
+    List.concat
+      (List.init shards (fun s ->
+           let perm = Array.init groups Fun.id in
+           Rng.shuffle rng perm;
+           List.mapi
+             (fun pos k ->
+               [| D.Int k; D.Int (1 + (k mod 3)); D.Int (k * s);
+                  D.Int grids.((s * groups) + pos) |])
+             (Array.to_list perm)))
+  in
+  (* the reference: per key its count, sum and first insertion position *)
+  let totals = Hashtbl.create groups in
+  List.iter
+    (fun row ->
+      match row with
+      | [| D.Int k; D.Int n; D.Int v; D.Int grid |] ->
+          let n0, v0, g0 =
+            Option.value (Hashtbl.find_opt totals k) ~default:(0, 0, max_int)
+          in
+          Hashtbl.replace totals k (n0 + n, v0 + v, min g0 grid)
+      | _ -> ())
+    gathered;
+  let expected =
+    Hashtbl.fold (fun k (n, v, grid) acc -> (grid, [| D.Int k; D.Int n; D.Int v |]) :: acc)
+      totals []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.map snd
+  in
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  let rs =
+    ok (Scatter.merge_grouped ~udts:(Genalg_storage.Udt.create ()) g gathered)
+  in
+  let per_row = (Gc.minor_words () -. before) /. float_of_int (List.length gathered) in
+  checki "one row per group" groups (List.length rs.Exec.rows);
+  checkb "groups in first-occurrence order, with merged partials" true
+    (row_bytes rs.Exec.rows = row_bytes expected);
+  checkb
+    (Printf.sprintf "%.0f minor words per gathered row" per_row)
+    true (per_row < 500.)
 
 (* ---- shared clones keep their genomic indexes (Database.clone) --------- *)
 
@@ -601,6 +723,10 @@ let suites =
         Alcotest.test_case "__grid is reserved" `Quick test_reserved_column;
         Alcotest.test_case "EXPLAIN and EXPLAIN ANALYZE" `Quick test_explain;
         QCheck_alcotest.to_alcotest test_random_queries;
+        Alcotest.test_case "float SUM/AVG byte-identical" `Quick
+          test_float_sum_identity;
+        Alcotest.test_case "fan-out GROUP BY with many groups" `Quick
+          test_merge_many_groups;
       ] );
     ( "shard.failover",
       [
