@@ -58,97 +58,12 @@ let lookup_in bindings qualifier name =
 let env_of db bindings =
   { Eval.lookup = (fun q n -> lookup_in bindings q n); udts = Db.udts db }
 
-(* ------------------------------------------------------------------ *)
-(* Aggregation: replace aggregate subtrees by their computed value,
-   then evaluate the residual expression on the group's first row.      *)
-
-let compute_aggregate db group name arg =
-  let values =
-    List.fold_left
-      (fun acc bindings ->
-        match acc with
-        | Error _ as e -> e
-        | Ok vs -> (
-            match Eval.eval (env_of db bindings) arg with
-            | Error _ as e -> e
-            | Ok v -> Ok (v :: vs)))
-      (Ok []) group
-  in
-  let* values = values in
-  let values = List.rev values in
-  let non_null = List.filter (fun v -> v <> D.Null) values in
-  let numeric msg f =
-    let rec sum acc = function
-      | [] -> Ok acc
-      | D.Int i :: rest -> sum (acc +. float_of_int i) rest
-      | D.Float x :: rest -> sum (acc +. x) rest
-      | v :: _ ->
-          Error (Printf.sprintf "%s over non-numeric value %s" msg (D.value_to_display v))
-    in
-    let* total = sum 0. non_null in
-    Ok (f total (List.length non_null))
-  in
-  match String.lowercase_ascii name with
-  | "count" -> Ok (D.Int (List.length non_null))
-  | "sum" ->
-      if non_null = [] then Ok D.Null
-      else
-        let all_int = List.for_all (function D.Int _ -> true | _ -> false) non_null in
-        let* v = numeric "SUM" (fun total _ -> total) in
-        Ok (if all_int then D.Int (int_of_float v) else D.Float v)
-  | "avg" ->
-      if non_null = [] then Ok D.Null
-      else
-        let* v = numeric "AVG" (fun total n -> total /. float_of_int n) in
-        Ok (D.Float v)
-  | "min" ->
-      (match non_null with
-      | [] -> Ok D.Null
-      | first :: rest ->
-          Ok (List.fold_left (fun m v -> if D.compare_value v m < 0 then v else m) first rest))
-  | "max" ->
-      (match non_null with
-      | [] -> Ok D.Null
-      | first :: rest ->
-          Ok (List.fold_left (fun m v -> if D.compare_value v m > 0 then v else m) first rest))
-  | other -> Error (Printf.sprintf "unknown aggregate %s" other)
-
 let rec map_result f = function
   | [] -> Ok []
   | x :: rest ->
       let* y = f x in
       let* ys = map_result f rest in
       Ok (y :: ys)
-
-let rec fold_aggregates db group expr =
-  match expr with
-  | Ast.Count_star -> Ok (Ast.Lit (D.Int (List.length group)))
-  | Ast.Fn (name, [ arg ]) when Ast.is_aggregate_fn name ->
-      let* v = compute_aggregate db group name arg in
-      Ok (Ast.Lit v)
-  | Ast.Fn (name, _) when Ast.is_aggregate_fn name ->
-      Error (Printf.sprintf "aggregate %s expects exactly one argument" name)
-  | Ast.Fn (name, args) ->
-      let* args = map_result (fold_aggregates db group) args in
-      Ok (Ast.Fn (name, args))
-  | Ast.Not e ->
-      let* e = fold_aggregates db group e in
-      Ok (Ast.Not e)
-  | Ast.Neg e ->
-      let* e = fold_aggregates db group e in
-      Ok (Ast.Neg e)
-  | Ast.Binop (op, a, b) ->
-      let* a = fold_aggregates db group a in
-      let* b = fold_aggregates db group b in
-      Ok (Ast.Binop (op, a, b))
-  | Ast.Lit _ | Ast.Col _ -> Ok expr
-
-let eval_in_group db group expr =
-  match group with
-  | [] -> Error "empty group"
-  | first :: _ ->
-      let* folded = fold_aggregates db group expr in
-      Eval.eval (env_of db first) folded
 
 (* ------------------------------------------------------------------ *)
 (* Parallel row filtering and join expansion.
@@ -497,10 +412,6 @@ end)
    the stable sort and LIMIT. The scatter merge finishes its merged
    groups through these same functions. *)
 
-type group =
-  | Empty_input
-  | Group of (Ast.expr -> (D.value, string) result)
-
 type keyed_row = D.value array * (D.value * bool) list
 
 let order_keys eval order_by =
@@ -511,22 +422,11 @@ let order_keys eval order_by =
     order_by
 
 let finish_groups ~items ~having ~order_by groups =
-  (* the one group of an aggregate query over no rows: only COUNT-like
-     aggregates make sense, any other item drops the row *)
-  let empty_value (e, _) =
-    match e with
-    | Ast.Count_star -> Ok (D.Int 0)
-    | Ast.Fn (name, _) when Ast.is_aggregate_fn name ->
-        Ok (if String.lowercase_ascii name = "count" then D.Int 0 else D.Null)
-    | _ -> Error "non-aggregate projection over empty input"
-  in
   let rec loop acc = function
     | [] -> Ok (List.rev acc)
-    | Empty_input :: rest -> (
-        match map_result empty_value items with
-        | Ok vs -> loop ((Array.of_list vs, []) :: acc) rest
-        | Error _ -> loop acc rest)
-    | Group eval :: rest ->
+    | g :: rest when Agg.lacks_row g -> loop acc rest
+    | g :: rest ->
+        let eval = Agg.eval g in
         let* keep =
           match having with
           | None -> Ok true
@@ -806,41 +706,41 @@ let run_select_profiled ?(optimize = true) db ~actor (select : Ast.select) =
     Ok ({ columns; rows }, prof)
   end
   else begin
-    (* grouping path: an aggregate query without GROUP BY forms one
-       group over all rows, the empty-input group when there are none *)
-    let* groups =
-      if select.Ast.group_by = [] then
-        Ok [ (match joined with [] -> Empty_input | _ -> Group (eval_in_group db joined)) ]
-      else
-        let* keyed =
-          let rec key_rows acc = function
-            | [] -> Ok (List.rev acc)
-            | bindings :: rest ->
-                let env = env_of db bindings in
-                let* ks = map_result (Eval.eval env) select.Ast.group_by in
-                key_rows ((ks, bindings) :: acc) rest
-          in
-          key_rows [] joined
-        in
-        (* groups found through a map on the key, listed in
-           first-appearance order, each collecting its rows newest first;
-           both lists are reversed once below *)
-        let index = ref Group_keys.empty and order = ref [] in
-        List.iter
-          (fun (k, row) ->
-            match Group_keys.find_opt k !index with
-            | Some rows -> rows := row :: !rows
-            | None ->
-                let rows = ref [ row ] in
-                index := Group_keys.add k rows !index;
-                order := rows :: !order)
-          keyed;
-        Ok (List.rev_map (fun rows -> Group (eval_in_group db (List.rev !rows))) !order)
-    in
+    (* grouping path: one pass over the rows finds each row's group
+       through a map on its key and feeds the group's accumulators, one
+       per distinct aggregate call. Groups are listed newest first in
+       first-appearance order, reversed once at the end. An aggregate
+       query without GROUP BY is one group, one that saw no rows on
+       empty input. *)
     let items =
       match select.Ast.projection with
       | Ast.Exprs items -> items
       | Ast.Star -> []
+    in
+    let* calls = Agg.collect select in
+    let index = ref Group_keys.empty and order = ref [] in
+    let rec key_rows = function
+      | [] -> Ok ()
+      | bindings :: rest ->
+          let env = env_of db bindings in
+          let* k = map_result (Eval.eval env) select.Ast.group_by in
+          let g =
+            match Group_keys.find_opt k !index with
+            | Some g -> g
+            | None ->
+                let g = Agg.group calls env in
+                index := Group_keys.add k g !index;
+                order := g :: !order;
+                g
+          in
+          Agg.feed_row g env;
+          key_rows rest
+    in
+    let* () = key_rows joined in
+    let groups =
+      match !order, select.Ast.group_by with
+      | [], [] -> [ Agg.group calls (env_of db []) ]
+      | groups, _ -> List.rev groups
     in
     let* out_rows =
       finish_groups ~items ~having:select.Ast.having ~order_by:select.Ast.order_by

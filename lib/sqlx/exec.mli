@@ -90,14 +90,6 @@ module Group_keys : Map.S with type key = D.value list
     every pair of values equal, so NULLs form one group and [Int 1]
     meets [Float 1.0]. *)
 
-type group =
-  | Empty_input
-      (** the one group of an aggregate query over no rows: [count]
-          gives 0, other aggregates NULL, and any non-aggregate item
-          drops the row *)
-  | Group of (Ast.expr -> (D.value, string) result)
-      (** evaluates an expression in the group, aggregates over its rows *)
-
 type keyed_row = D.value array * (D.value * bool) list
 (** An output row with its ORDER BY key values and ascending flags. *)
 
@@ -105,10 +97,11 @@ val finish_groups :
   items:(Ast.expr * string option) list ->
   having:Ast.expr option ->
   order_by:Ast.order_item list ->
-  group list -> (keyed_row list, string) result
+  Agg.group list -> (keyed_row list, string) result
 (** Per group in order: HAVING (a non-boolean, non-NULL result is the
     error ["HAVING evaluated to <v>"]), then the projection, then the
-    ORDER BY keys; the first error wins. *)
+    ORDER BY keys, over its aggregates' finished values; the first
+    error wins. A group that {!Agg.lacks_row} gives no output row. *)
 
 val order_and_limit :
   ?on_sorted:(unit -> unit) -> limit:int option -> keyed_row list ->

@@ -2,14 +2,6 @@ module D = Genalg_storage.Dtype
 
 let grid_col = "__grid"
 
-type agg =
-  | A_count_star
-  | A_count of Ast.expr
-  | A_sum of Ast.expr
-  | A_min of Ast.expr
-  | A_max of Ast.expr
-  | A_avg of Ast.expr
-
 type plain = {
   p_shard : Ast.select;
   p_columns : string list;
@@ -22,8 +14,7 @@ type grouped = {
   g_shard : Ast.select;
   g_columns : string list;
   g_nkeys : int;
-  g_keys : Ast.expr list;
-  g_aggs : agg list;
+  g_aggs : Agg.t;
   g_items : (Ast.expr * string option) list;
   g_having : Ast.expr option;
   g_order : Ast.order_item list;
@@ -67,68 +58,30 @@ let range_on_indexed ~alias ~has_index where =
           | _ -> false)
         (Ast.conjuncts w)
 
-let same_agg a b =
-  match a, b with
-  | A_count_star, A_count_star -> true
-  | A_count x, A_count y
-  | A_sum x, A_sum y
-  | A_min x, A_min y
-  | A_max x, A_max y
-  | A_avg x, A_avg y -> Ast.equal_expr x y
-  | _ -> false
-
-let agg_of_call name arg =
-  match String.lowercase_ascii name with
-  | "count" -> Some (A_count arg)
-  | "sum" -> Some (A_sum arg)
-  | "avg" -> Some (A_avg arg)
-  | "min" -> Some (A_min arg)
-  | "max" -> Some (A_max arg)
-  | _ -> None
-
-(* collect distinct aggregate occurrences (dedup by argument) *)
-let register aggs a =
-  if not (List.exists (same_agg a) !aggs) then aggs := !aggs @ [ a ]
-
-let rec collect_aggs aggs e =
-  match e with
-  | Ast.Count_star -> register aggs A_count_star
-  | Ast.Fn (name, [ arg ]) when Ast.is_aggregate_fn name -> (
-      if Ast.contains_aggregate arg then raise (Reject "nested aggregate");
-      match agg_of_call name arg with
-      | Some a -> register aggs a
-      | None -> raise (Reject (Printf.sprintf "unknown aggregate %s" name)))
-  | Ast.Fn (name, _) when Ast.is_aggregate_fn name ->
-      raise (Reject (Printf.sprintf "aggregate %s with wrong arity" name))
-  | Ast.Fn (_, args) -> List.iter (collect_aggs aggs) args
-  | Ast.Not e | Ast.Neg e -> collect_aggs aggs e
-  | Ast.Binop (_, a, b) ->
-      collect_aggs aggs a;
-      collect_aggs aggs b
-  | Ast.Lit _ | Ast.Col _ -> ()
-
-(* After treating aggregates and group-key-equal subtrees as leaves, no
-   bare column reference may remain: anything else would need a "first
-   row of the group", which no shard can know globally. *)
-let rec residual_ok ~keys e =
-  if List.exists (Ast.equal_expr e) keys then true
-  else
-    match e with
-    | Ast.Count_star -> true
-    | Ast.Fn (name, [ _ ]) when Ast.is_aggregate_fn name -> true
-    | Ast.Col _ -> false
-    | Ast.Lit _ -> true
-    | Ast.Fn (_, args) -> List.for_all (residual_ok ~keys) args
-    | Ast.Not e | Ast.Neg e -> residual_ok ~keys e
-    | Ast.Binop (_, a, b) -> residual_ok ~keys a && residual_ok ~keys b
-
-let agg_partial_items = function
-  | A_count_star -> [ (Ast.Count_star, None) ]
-  | A_count e -> [ (Ast.Fn ("count", [ e ]), None) ]
-  | A_sum e -> [ (Ast.Fn ("sum", [ e ]), None) ]
-  | A_min e -> [ (Ast.Fn ("min", [ e ]), None) ]
-  | A_max e -> [ (Ast.Fn ("max", [ e ]), None) ]
-  | A_avg e -> [ (Ast.Fn ("sum", [ e ]), None); (Ast.Fn ("count", [ e ]), None) ]
+(* The merge evaluates over a group's keys alone: each subtree equal to
+   the i-th group key becomes the column reference [i], which the merged
+   group resolves to that key's value. A column reference left over would
+   need a row of the group, which no shard can know globally. *)
+let over_keys ~keys what e =
+  let rec go e =
+    match List.find_index (Ast.equal_expr e) keys with
+    | Some i -> Ast.Col (None, string_of_int i)
+    | None -> (
+        match e with
+        | Ast.Count_star | Ast.Lit _ -> e
+        | Ast.Fn (name, _) when Ast.is_aggregate_fn name -> e
+        | Ast.Col _ -> raise Exit
+        | Ast.Fn (name, args) -> Ast.Fn (name, List.map go args)
+        | Ast.Not a -> Ast.Not (go a)
+        | Ast.Neg a -> Ast.Neg (go a)
+        | Ast.Binop (op, a, b) -> Ast.Binop (op, go a, go b))
+  in
+  try go e
+  with Exit ->
+    raise
+      (Reject
+         (Printf.sprintf "%s depends on individual rows (%s)" what
+            (Ast.expr_to_string e)))
 
 let decompose ~star_columns ~has_index (select : Ast.select) : t =
   try
@@ -189,30 +142,30 @@ let decompose ~star_columns ~has_index (select : Ast.select) : t =
       if List.exists Ast.contains_aggregate select.Ast.group_by then
         raise (Reject "aggregate in GROUP BY");
       let keys = select.Ast.group_by in
-      let aggs = ref [] in
-      List.iter (fun (e, _) -> collect_aggs aggs e) items;
-      Option.iter (collect_aggs aggs) select.Ast.having;
-      List.iter
-        (fun { Ast.key; _ } -> collect_aggs aggs key)
-        select.Ast.order_by;
-      let check_residual what e =
-        if not (residual_ok ~keys e) then
-          raise
-            (Reject
-               (Printf.sprintf "%s depends on individual rows (%s)" what
-                  (Ast.expr_to_string e)))
+      let aggs =
+        match Agg.collect select with
+        | Ok aggs -> aggs
+        | Error msg -> raise (Reject msg)
       in
-      List.iter (fun (e, _) -> check_residual "projection" e) items;
-      Option.iter (check_residual "HAVING") select.Ast.having;
-      List.iter
-        (fun { Ast.key; _ } -> check_residual "ORDER BY" key)
-        select.Ast.order_by;
-      (* count-star doubles as the global-emptiness detector *)
-      register aggs A_count_star;
-      let aggs = !aggs in
+      let partials = Agg.partial_items aggs in
+      if
+        List.exists
+          (function Ast.Fn (_, [ arg ]) -> Ast.contains_aggregate arg | _ -> false)
+          partials
+      then raise (Reject "nested aggregate");
+      let merge_items =
+        List.map (fun (e, alias) -> (over_keys ~keys "projection" e, alias)) items
+      in
+      let having = Option.map (over_keys ~keys "HAVING") select.Ast.having in
+      let order =
+        List.map
+          (fun (o : Ast.order_item) ->
+            { o with Ast.key = over_keys ~keys "ORDER BY" o.Ast.key })
+          select.Ast.order_by
+      in
       let shard_items =
         List.map (fun k -> (k, None)) keys
-        @ List.concat_map agg_partial_items aggs
+        @ List.map (fun e -> (e, None)) partials
         @ [ (Ast.Fn ("min", [ Ast.Col (None, grid_col) ]), None) ]
       in
       Grouped
@@ -227,20 +180,20 @@ let decompose ~star_columns ~has_index (select : Ast.select) : t =
             };
           g_columns = List.map Ast.item_name items;
           g_nkeys = List.length keys;
-          g_keys = keys;
           g_aggs = aggs;
-          g_items = items;
-          g_having = select.Ast.having;
-          g_order = select.Ast.order_by;
+          g_items = merge_items;
+          g_having = having;
+          g_order = order;
           g_limit = select.Ast.limit;
         }
     end
   with Reject reason -> Not_shardable reason
 
 (* ------------------------------------------------------------------ *)
-(* Merging: combine the shards' partials, then finish through the
-   executor's own tail (Exec.finish_groups, Exec.order_and_limit), so
-   HAVING, ORDER BY, LIMIT and the empty-input rule are its code       *)
+(* Merging: feed the shards' partials into the executor's accumulators
+   (Agg), then finish through its own tail (Exec.finish_groups,
+   Exec.order_and_limit), so aggregates, HAVING, ORDER BY, LIMIT and
+   the empty-input rule are its code                                    *)
 
 let merge_plain p gathered =
   let n_items = p.p_items in
@@ -265,89 +218,12 @@ let merge_plain p gathered =
     rows = Exec.order_and_limit ~limit:p.p_limit decorated;
   }
 
-(* partial-aggregate accumulators *)
-type sum_acc = {
-  mutable partials : int;  (* non-null partial sums fed *)
-  mutable all_int : bool;
-  mutable total : float;
-}
-
-type acc =
-  | Acc_count of int ref                 (* count / count_star *)
-  | Acc_sum of sum_acc
-  | Acc_minmax of D.value option ref * int  (* dir: -1 min, +1 max *)
-  | Acc_avg of sum_acc * int ref
-
-let fresh_sum () = { partials = 0; all_int = true; total = 0. }
-
-let fresh_acc = function
-  | A_count_star | A_count _ -> Acc_count (ref 0)
-  | A_sum _ -> Acc_sum (fresh_sum ())
-  | A_min _ -> Acc_minmax (ref None, -1)
-  | A_max _ -> Acc_minmax (ref None, 1)
-  | A_avg _ -> Acc_avg (fresh_sum (), ref 0)
-
-let sum_feed (s : sum_acc) = function
-  | D.Int i ->
-      s.partials <- s.partials + 1;
-      s.total <- s.total +. float_of_int i
-  | D.Float f ->
-      s.partials <- s.partials + 1;
-      s.all_int <- false;
-      s.total <- s.total +. f
-  | _ ->
-      (* Null; a shard-side partial is otherwise always numeric, or the
-         shard query itself errored and the caller already fell back *)
-      ()
-
-let feed acc (row : D.value array) pos =
-  match acc with
-  | Acc_count r ->
-      (match row.(pos) with D.Int n -> r := !r + n | _ -> ());
-      pos + 1
-  | Acc_sum s ->
-      sum_feed s row.(pos);
-      pos + 1
-  | Acc_minmax (best, dir) ->
-      (match row.(pos), !best with
-      | D.Null, _ -> ()
-      | v, None -> best := Some v
-      | v, Some m -> if D.compare_value v m * dir > 0 then best := Some v);
-      pos + 1
-  | Acc_avg (s, n) ->
-      sum_feed s row.(pos);
-      (match row.(pos + 1) with D.Int k -> n := !n + k | _ -> ());
-      pos + 2
-
-(* Float addition is not associative: the single node adds every value
-   in scan order, so partial float sums from several shards cannot
-   reproduce its bits. Such a group is refused, and the caller answers
-   from the mirror. *)
-let sum_total (s : sum_acc) =
-  if s.all_int || s.partials < 2 then Ok s.total
-  else Error "float SUM/AVG over partials of several shards"
-
-let acc_value = function
-  | Acc_count r -> Ok (D.Int !r)
-  | Acc_sum s ->
-      if s.partials = 0 then Ok D.Null
-      else
-        Result.map
-          (fun t -> if s.all_int then D.Int (int_of_float t) else D.Float t)
-          (sum_total s)
-  | Acc_minmax (best, _) -> Ok (Option.value !best ~default:D.Null)
-  | Acc_avg (s, n) ->
-      if !n = 0 then Ok D.Null
-      else Result.map (fun t -> D.Float (t /. float_of_int !n)) (sum_total s)
-
 type group = {
-  gkey : D.value list;
-  gaccs : acc list;
+  gaggs : Agg.group;
   mutable gmin_grid : int;
 }
 
 let merge_grouped ~udts g gathered =
-  let ( let* ) = Result.bind in
   let index = ref Exec.Group_keys.empty and order = ref [] in
   List.iter
     (fun (row : D.value array) ->
@@ -356,14 +232,19 @@ let merge_grouped ~udts g gathered =
         match Exec.Group_keys.find_opt key !index with
         | Some grp -> grp
         | None ->
+            let lookup _ name =
+              match int_of_string_opt name with
+              | Some i when i >= 0 && i < g.g_nkeys -> Ok (List.nth key i)
+              | _ -> Error ("unknown column " ^ name)
+            in
             let grp =
-              { gkey = key; gaccs = List.map fresh_acc g.g_aggs; gmin_grid = max_int }
+              { gaggs = Agg.group g.g_aggs { Eval.lookup; udts }; gmin_grid = max_int }
             in
             index := Exec.Group_keys.add key grp !index;
             order := grp :: !order;
             grp
       in
-      ignore (List.fold_left (fun pos acc -> feed acc row pos) g.g_nkeys grp.gaccs);
+      Agg.feed_partials grp.gaggs row g.g_nkeys;
       match row.(Array.length row - 1) with
       | D.Int grid when grid < grp.gmin_grid -> grp.gmin_grid <- grid
       | _ -> ())
@@ -374,58 +255,8 @@ let merge_grouped ~udts g gathered =
       (fun a b -> Int.compare a.gmin_grid b.gmin_grid)
       (List.rev !order)
   in
-  let env =
-    { Eval.lookup = (fun _ n -> Error ("unknown column " ^ n)); udts }
-  in
-  (* replace group-key subtrees and aggregates with the group's merged
-     values; the residue evaluates like the executor's in-group *)
-  let to_group grp =
-    let rec merge_values acc aggs accs =
-      match aggs, accs with
-      | a :: aggs, c :: accs ->
-          let* v = acc_value c in
-          merge_values ((a, v) :: acc) aggs accs
-      | _ -> Ok acc
-    in
-    let* merged = merge_values [] g.g_aggs grp.gaccs in
-    let merged_of a =
-      match List.find_opt (fun (b, _) -> same_agg a b) merged with
-      | Some (_, v) -> v
-      | None -> D.Null
-    in
-    let keyed = List.combine g.g_keys grp.gkey in
-    let rec subst e =
-      match List.find_opt (fun (k, _) -> Ast.equal_expr e k) keyed with
-      | Some (_, v) -> Ast.Lit v
-      | None -> (
-          match e with
-          | Ast.Count_star -> Ast.Lit (merged_of A_count_star)
-          | Ast.Fn (name, [ arg ]) when Ast.is_aggregate_fn name -> (
-              match agg_of_call name arg with
-              | Some a -> Ast.Lit (merged_of a)
-              | None -> e)
-          | Ast.Fn (name, args) -> Ast.Fn (name, List.map subst args)
-          | Ast.Not e -> Ast.Not (subst e)
-          | Ast.Neg e -> Ast.Neg (subst e)
-          | Ast.Binop (op, a, b) -> Ast.Binop (op, subst a, subst b)
-          | Ast.Lit _ | Ast.Col _ -> e)
-    in
-    (* count-star is always registered: a group counting no rows is the
-       empty input of a query without GROUP BY *)
-    Ok
-      (match merged_of A_count_star with
-      | D.Int 0 -> Exec.Empty_input
-      | _ -> Exec.Group (fun e -> Eval.eval env (subst e)))
-  in
-  let rec to_groups acc = function
-    | [] -> Ok (List.rev acc)
-    | grp :: rest ->
-        let* group = to_group grp in
-        to_groups (group :: acc) rest
-  in
-  let* groups = to_groups [] ordered in
-  let* rows =
-    Exec.finish_groups ~items:g.g_items ~having:g.g_having ~order_by:g.g_order
-      groups
-  in
-  Ok { Exec.columns = g.g_columns; rows = Exec.order_and_limit ~limit:g.g_limit rows }
+  Result.map
+    (fun rows ->
+      { Exec.columns = g.g_columns; rows = Exec.order_and_limit ~limit:g.g_limit rows })
+    (Exec.finish_groups ~items:g.g_items ~having:g.g_having ~order_by:g.g_order
+       (List.map (fun grp -> grp.gaggs) ordered))

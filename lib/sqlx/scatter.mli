@@ -12,40 +12,28 @@
       [__grid]; the coordinator restores the global scan order by sorting
       on [__grid] and finishes through the executor's tail
       ({!Exec.order_and_limit}): the stable ORDER BY, then LIMIT.
-    - {b Grouped}: each shard computes {e partial aggregates} per group —
-      [count]/[sum]/[min]/[max] merge directly, [avg] ships as a
-      (sum, count) pair — plus a count-star and [min(__grid)] helper.
-      The coordinator unifies groups across shards through the
-      executor's key map ({!Exec.Group_keys}), combines the partials,
-      orders groups by first global occurrence ([min(__grid)]), and
-      finishes them through the executor's own tail
-      ({!Exec.finish_groups}): HAVING, the projection, ORDER BY, LIMIT
-      and the empty-input rule are the executor's code, evaluated over
-      the merged values.
+    - {b Grouped}: each shard computes the {!Agg.partial_items} of the
+      statement's aggregate calls per group, plus [min(__grid)]. The
+      coordinator unifies groups across shards through the executor's
+      key map ({!Exec.Group_keys}), feeds the partials into the same
+      accumulators the executor uses ({!Agg.feed_partials}), orders
+      groups by first global occurrence, and finishes them through the
+      executor's own tail ({!Exec.finish_groups}).
 
     Queries the rewrite cannot reproduce exactly — joins, [SELECT *] with
     grouping, nested aggregates, range predicates over indexed columns
     (whose single-node plan may emit in key order rather than scan
-    order) — come back as {!Not_shardable} with a reason; a float SUM or
-    AVG with partials from several shards makes {!merge_grouped} return
-    [Error]. Either way the cluster answers from its coordinator mirror,
-    which {e is} the single-node database, so the fallback is trivially
-    identical. *)
+    order) — come back as {!Not_shardable} with a reason; float SUM or
+    AVG partials from several shards and an integer sum out of range
+    make {!merge_grouped} return [Error]. Either way the cluster answers
+    from its coordinator mirror, which {e is} the single-node database,
+    so the fallback is trivially identical. *)
 
 module D := Genalg_storage.Dtype
 
 val grid_col : string
 (** ["__grid"] — the hidden global-insertion-order column every shard
     table carries. User schemas may not use the name. *)
-
-(** One distinct aggregate occurrence, deduplicated by argument. *)
-type agg =
-  | A_count_star
-  | A_count of Ast.expr
-  | A_sum of Ast.expr
-  | A_min of Ast.expr
-  | A_max of Ast.expr
-  | A_avg of Ast.expr
 
 type plain = {
   p_shard : Ast.select;     (** what each shard runs *)
@@ -59,12 +47,13 @@ type grouped = {
   g_shard : Ast.select;
   g_columns : string list;
   g_nkeys : int;            (** group-key columns (prefix of a row) *)
-  g_keys : Ast.expr list;   (** the GROUP BY expressions *)
-  g_aggs : agg list;        (** partial-column layout after the keys;
-                                [A_avg] occupies two columns *)
+  g_aggs : Agg.t;           (** the statement's aggregate calls; their
+                                {!Agg.partial_items} follow the keys *)
   g_items : (Ast.expr * string option) list;
   g_having : Ast.expr option;
   g_order : Ast.order_item list;
+      (** items, HAVING and ORDER BY keys with every subtree equal to
+          the i-th group key replaced by the column reference [i] *)
   g_limit : int option;
 }
 
@@ -94,6 +83,5 @@ val merge_grouped :
 (** Merge gathered per-shard group rows (each
     [keys @ partials @ min-grid]) and finish the query at the
     coordinator. Errors carry the executor's message for the same
-    failure (e.g. ["HAVING evaluated to 3"]); a group whose SUM or AVG
-    has two or more non-null partials, any of them a [Float], is an
-    [Error] too, since float addition order would change its bits. *)
+    failure (e.g. ["HAVING evaluated to 3"], ["integer overflow in
+    SUM"]), or refuse float partials ({!Agg.feed_partials}). *)

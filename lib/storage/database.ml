@@ -553,7 +553,11 @@ let parse_body contents =
            for _ = 1 to nrows do
              let len = read_int () in
              need len;
-             let row = Dtype.decode_row (Bytes.sub data !pos len) in
+             let row =
+               match Dtype.decode_row (Bytes.sub data !pos len) with
+               | Ok row -> row
+               | Error msg -> raise (Corrupt msg)
+             in
              pos := !pos + len;
              match Table.insert table row with
              | Ok _ -> ()

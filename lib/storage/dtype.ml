@@ -163,16 +163,19 @@ let encode_row row =
   Buffer.to_bytes buf
 
 let decode_row buf =
-  let n, off = read_int64 buf 0 in
-  (* every value takes at least one tag byte, so the arity cannot exceed
-     the remaining payload — guards against huge corrupted headers *)
-  if n < 0 || n > Bytes.length buf - off then
-    invalid_arg "Dtype.decode_row: corrupt arity";
-  let off = ref off in
-  Array.init n (fun _ ->
-      let v, next = decode_value buf !off in
-      off := next;
-      v)
+  try
+    let n, off = read_int64 buf 0 in
+    (* every value takes at least one tag byte, so the arity cannot exceed
+       the remaining payload — guards against huge corrupted headers *)
+    if n < 0 || n > Bytes.length buf - off then
+      invalid_arg "Dtype.decode_row: corrupt arity";
+    let off = ref off in
+    Ok
+      (Array.init n (fun _ ->
+           let v, next = decode_value buf !off in
+           off := next;
+           v))
+  with Invalid_argument msg -> Error msg
 
 let pp ppf ty = Format.pp_print_string ppf (to_string ty)
 let pp_value ppf v = Format.pp_print_string ppf (value_to_display v)

@@ -52,7 +52,8 @@ val decode_value : bytes -> int -> value * int
     offset. Raises [Invalid_argument] on corrupt input. *)
 
 val encode_row : value array -> bytes
-val decode_row : bytes -> value array
+val decode_row : bytes -> (value array, string) result
+(** The inverse of {!encode_row}; corrupt input is an [Error]. *)
 
 val pp : Format.formatter -> t -> unit
 val pp_value : Format.formatter -> value -> unit

@@ -429,9 +429,11 @@ let storage_props =
       (fun vals ->
         let module D = Genalg_storage.Dtype in
         let row = Array.of_list vals in
-        let back = D.decode_row (D.encode_row row) in
-        Array.length back = Array.length row
-        && Array.for_all2 D.equal_value row back);
+        match D.decode_row (D.encode_row row) with
+        | Ok back ->
+            Array.length back = Array.length row
+            && Array.for_all2 D.equal_value row back
+        | Error _ -> false);
   ]
 
 (* ---- formats & xml ------------------------------------------------------------------ *)

@@ -424,6 +424,10 @@ let test_random_queries =
             "SELECT count(*), sum(len), avg(len), max(accession) FROM seqs WHERE len > %d"
             len;
           Printf.sprintf "SELECT count(*), upper('x') FROM seqs WHERE len > %d" len;
+          Printf.sprintf "SELECT count(*) + 1, sum(len) + 1 FROM seqs WHERE len > %d" len;
+          Printf.sprintf
+            "SELECT count(*) FROM seqs WHERE len > %d HAVING count(*) > 0" len;
+          Printf.sprintf "SELECT len, count(*) FROM seqs WHERE len > %d" len;
         ]
       in
       with_pair (fun single cl ->
@@ -465,6 +469,48 @@ let test_float_sum_identity () =
       ignore (ok (Cluster.query cl ~actor "SELECT sum(len), avg(len) FROM seqs"));
       checkb "integer sum over shards scatters" true
         ((Cluster.last_report cl).Cluster.fallback = None))
+
+(* Integer SUM is exact on both paths: shards ship exact partial sums and
+   the merge adds them exactly, so values above 2^53 and max_int survive
+   and scatter; a sum outside the int range is the single node's error.
+   Empty input is a group that saw no rows on both paths. *)
+let test_integer_sum_identity () =
+  let sqls =
+    [
+      "CREATE TABLE big (id int, g int, v int)";
+      "INSERT INTO big VALUES (1, 1, 9007199254740993), (2, 1, 0), \
+       (3, 2, 4611686018427387903), (4, 3, 4611686018427387903), (5, 3, 1), \
+       (6, 3, -2), (7, 4, 9007199254740993), (8, 4, 1), (9, 4, 0), (10, 4, 1)";
+      "CREATE TABLE void (x int)";
+    ]
+  in
+  let single = Db.create () in
+  attach single;
+  List.iter (fun sql -> ignore (ok (Exec.query single ~actor sql))) sqls;
+  let cl = ok (Cluster.create_local ~attach ~shards:4 ()) in
+  List.iter (fun sql -> ignore (ok (Cluster.query cl ~actor sql))) sqls;
+  let expect ?(scatters = true) sql expected =
+    assert_same single cl sql;
+    (match Cluster.query cl ~actor sql with
+    | Ok (Exec.Rows rs) -> checkb sql true (Ok rs.Exec.rows = expected)
+    | Error msg -> checkb sql true (Error msg = expected)
+    | Ok _ -> Alcotest.failf "%s: expected rows" sql);
+    if scatters then
+      checkb (sql ^ " scatters") true ((Cluster.last_report cl).Cluster.fallback = None)
+  in
+  expect "SELECT sum(v) FROM big WHERE g = 1" (Ok [ [| D.Int 9007199254740993 |] ]);
+  expect "SELECT sum(v) FROM big WHERE g = 2" (Ok [ [| D.Int max_int |] ]);
+  expect "SELECT sum(v) FROM big WHERE g = 3" (Ok [ [| D.Int (max_int - 1) |] ]);
+  expect "SELECT g, avg(v) FROM big WHERE g = 4 GROUP BY g"
+    (Ok [ [| D.Int 4; D.Float (float_of_int 9007199254740995 /. 4.) |] ]);
+  expect ~scatters:false "SELECT sum(v) FROM big WHERE g > 1"
+    (Error "integer overflow in SUM");
+  expect ~scatters:false "SELECT g > 1, avg(v) FROM big GROUP BY g > 1"
+    (Error "integer overflow in AVG");
+  expect "SELECT count(*) + 1 FROM void" (Ok [ [| D.Int 1 |] ]);
+  expect "SELECT sum(x) + 1 FROM void" (Ok [ [| D.Null |] ]);
+  expect "SELECT count(*) FROM void HAVING count(*) > 0" (Ok []);
+  expect ~scatters:false "SELECT x, count(*) FROM void" (Ok [])
 
 (* The merge finds groups through the executor's key map, so allocation
    per gathered row stays flat as groups grow; searching a list of
@@ -725,6 +771,8 @@ let suites =
         QCheck_alcotest.to_alcotest test_random_queries;
         Alcotest.test_case "float SUM/AVG byte-identical" `Quick
           test_float_sum_identity;
+        Alcotest.test_case "integer SUM/AVG and empty input match single node" `Quick
+          test_integer_sum_identity;
         Alcotest.test_case "fan-out GROUP BY with many groups" `Quick
           test_merge_many_groups;
       ] );

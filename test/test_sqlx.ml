@@ -417,9 +417,85 @@ let test_exec_aggregate_empty () =
   (match Exec.query db ~actor:"u" "SELECT count(*) FROM void" with
   | Ok (Exec.Rows { rows = [ [| D.Int 0 |] ]; _ }) -> ()
   | _ -> Alcotest.fail "count over empty table");
-  match Exec.query db ~actor:"u" "SELECT sum(x) FROM void" with
+  (match Exec.query db ~actor:"u" "SELECT sum(x) FROM void" with
   | Ok (Exec.Rows { rows = [ [| D.Null |] ]; _ }) -> ()
-  | _ -> Alcotest.fail "sum over empty table should be NULL"
+  | _ -> Alcotest.fail "sum over empty table should be NULL");
+  (* empty input is a group that saw no rows: its aggregates finish,
+     expressions over them evaluate and HAVING applies; a column read
+     outside every aggregate has no row to read and drops the row *)
+  List.iter
+    (fun (sql, expected) ->
+      match Exec.query db ~actor:"u" sql with
+      | Ok (Exec.Rows rs) ->
+          check Alcotest.bool sql true (rs.Exec.rows = expected)
+      | _ -> Alcotest.failf "%s failed" sql)
+    [
+      ("SELECT count(*) + 1 FROM void", [ [| D.Int 1 |] ]);
+      ("SELECT sum(len) + 1 FROM frag WHERE len > 100", [ [| D.Null |] ]);
+      ("SELECT count(*) FROM void HAVING count(*) > 0", []);
+      ("SELECT x, count(*) FROM void", []);
+    ]
+
+(* SUM over integers is exact integer addition, and a sum outside the
+   int range is an error; AVG divides the exact sum once. Summing in
+   floats loses integers above 2^53 and wraps max_int. *)
+let test_exec_integer_sum () =
+  let db, run = fixture_db () in
+  ignore (run "CREATE TABLE big (g int, v int)");
+  ignore
+    (run
+       "INSERT INTO big VALUES (1, 9007199254740993), (1, 0), (2, 4611686018427387903), \
+        (3, 4611686018427387903), (3, 1), (3, -2), (4, 9007199254740993), (4, 1)");
+  let value sql =
+    match Exec.query db ~actor:"u" sql with
+    | Ok (Exec.Rows { rows = [ [| v |] ]; _ }) -> Ok v
+    | Ok _ -> Alcotest.failf "%s: expected one value" sql
+    | Error msg -> Error msg
+  in
+  let expect sql expected =
+    check Alcotest.bool sql true (value sql = expected)
+  in
+  expect "SELECT sum(v) FROM big WHERE g = 1" (Ok (D.Int 9007199254740993));
+  expect "SELECT sum(v) FROM big WHERE g = 2" (Ok (D.Int max_int));
+  expect "SELECT sum(v) FROM big WHERE g = 3" (Ok (D.Int (max_int - 1)));
+  expect "SELECT avg(v) FROM big WHERE g = 4"
+    (Ok (D.Float (float_of_int 9007199254740994 /. 2.)));
+  expect "SELECT sum(v) FROM big WHERE g > 1" (Error "integer overflow in SUM");
+  expect "SELECT avg(v) FROM big WHERE g > 1" (Error "integer overflow in AVG")
+
+(* Each distinct aggregate call is accumulated once per group, so
+   repeating sum(v) in HAVING, ORDER BY and two more items reads no group
+   again: 20 000 rows in 10 000 groups allocate under twice the plain
+   GROUP BY (2.43x when every occurrence re-read its group, 1.47x now). *)
+let test_exec_repeated_aggregate () =
+  let db = Db.create () in
+  ignore (Result.get_ok (Exec.query db ~actor:"u" "CREATE TABLE g (k int, v int)"));
+  let t = Option.get (Db.find_table db ~space:(Db.User "u") "g") in
+  for i = 0 to 19_999 do
+    ignore (Genalg_storage.Table.insert_exn t [| D.Int (i mod 10_000); D.Int i |])
+  done;
+  let minor_words sql =
+    let select = select_of sql in
+    Gc.minor ();
+    let before = Gc.minor_words () in
+    let rs = Result.get_ok (Exec.run_select db ~actor:"u" select) in
+    (Gc.minor_words () -. before, rs.Exec.rows)
+  in
+  let plain, _ = minor_words "SELECT k, sum(v) FROM g GROUP BY k" in
+  let repeated, rows =
+    minor_words
+      "SELECT k, sum(v), sum(v) + 1, sum(v) * 2 FROM g GROUP BY k HAVING sum(v) >= 0 \
+       ORDER BY sum(v)"
+  in
+  check Alcotest.bool "every group, by its sum" true
+    (rows
+    = List.init 10_000 (fun k ->
+          let s = (2 * k) + 10_000 in
+          [| D.Int k; D.Int s; D.Int (s + 1); D.Int (2 * s) |]));
+  check Alcotest.bool
+    (Printf.sprintf "repeated aggregate: %.0f minor words against %.0f" repeated plain)
+    true
+    (repeated < 2. *. plain)
 
 let test_exec_limit_zero () =
   let db, _ = fixture_db () in
@@ -710,6 +786,9 @@ let suites =
         tc "order by UDF" `Quick test_exec_order_by_udf;
         tc "three-way join" `Quick test_exec_three_way_join;
         tc "aggregate over empty" `Quick test_exec_aggregate_empty;
+        tc "integer SUM and AVG are exact" `Quick test_exec_integer_sum;
+        tc "repeated aggregate reads its group once" `Quick
+          test_exec_repeated_aggregate;
         tc "count(*) allocation linear" `Quick test_exec_count_allocation;
         tc "GROUP BY with many groups" `Quick test_exec_group_by_many_groups;
         tc "limit zero" `Quick test_exec_limit_zero;
