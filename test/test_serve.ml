@@ -101,7 +101,13 @@ let test_decode_rejects_garbage () =
   checkb "unknown error code" true
     (Result.is_error
        (Protocol.decode_reply
-          "E\255\255\255\255\255\255\255\255\000\000\000\000\000\000\000\000"))
+          "E\255\255\255\255\255\255\255\255\000\000\000\000\000\000\000\000"));
+  (* a length of 2^62 - 1 is not negative, and [pos + len] overflows *)
+  let huge_len = "\255\255\255\255\255\255\255\063" in
+  checkb "huge reply length" true
+    (Result.is_error (Protocol.decode_reply ("K" ^ huge_len)));
+  checkb "huge request length" true
+    (Result.is_error (Protocol.decode_request ("Q" ^ huge_len)))
 
 let test_framing_incremental () =
   let payloads = [ "alpha"; ""; String.make 1000 'x' ] in
