@@ -44,6 +44,22 @@ poly_uses=$(grep -nE "(^|[^._A-Za-z0-9'])(max|min|compare)([^_A-Za-z0-9']|$)" li
 }
 echo "kernel check ok"
 
+echo "== checks: one evaluator =="
+# Column references are bound once per statement: Eval compiles an
+# expression against a scope, and a row is evaluated with no name work.
+# A per-row lookup must not come back beside it: neither a helper that
+# resolves a name against a row's bindings nor an evaluation environment
+# with a lookup field.
+lookup_uses=$( (grep -rnwE 'lookup_in|env_of' lib; \
+  grep -rnE 'Eval\.(env|lookup)([^_A-Za-z0-9]|$)' lib; \
+  grep -nE '(type env|lookup *:)' lib/sqlx/eval.ml lib/sqlx/eval.mli) || true)
+[ -z "$lookup_uses" ] || {
+  echo "$lookup_uses" >&2
+  echo "evaluator check FAILED: per-row name lookup in lib" >&2
+  exit 1
+}
+echo "evaluator check ok"
+
 echo "== tests =="
 dune runtest
 

@@ -15,7 +15,9 @@ exception Corrupt of string
 
 type reader = { data : bytes; mutable pos : int }
 
-let need r n = if r.pos + n > Bytes.length r.data then raise (Corrupt "truncated")
+(* [n - remaining], not [pos + n], which a length near [max_int] wraps
+   negative *)
+let need r n = if n > Bytes.length r.data - r.pos then raise (Corrupt "truncated")
 
 let read_int r =
   need r 8;

@@ -1215,12 +1215,7 @@ let reserved_column defs =
     defs
 
 let run_insert t ~actor table columns rows =
-  let env =
-    {
-      Eval.lookup = (fun _ n -> Error ("unknown column " ^ n));
-      udts = Db.udts t.mirror_db;
-    }
-  in
+  let udts = Db.udts t.mirror_db in
   let schema = ref None in
   let get_schema () =
     match !schema with
@@ -1237,7 +1232,7 @@ let run_insert t ~actor table columns rows =
     (* evaluation cannot fail here: the mirror already accepted the row *)
     let values =
       List.map
-        (fun e -> match Eval.eval env e with Ok v -> v | Error _ -> D.Null)
+        (fun e -> match Eval.compile udts [] e [||] with Ok v -> v | Error _ -> D.Null)
         exprs
     in
     match get_schema (), pcol_of t table with

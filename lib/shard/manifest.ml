@@ -92,8 +92,10 @@ let decode contents =
       Error "manifest checksum mismatch"
     else
       let pos = ref body_pos in
+      (* [n - remaining], not [pos + n], which a length near [max_int]
+         wraps negative *)
       let need n =
-        if !pos + n > Bytes.length data then raise (Corrupt "truncated")
+        if n > Bytes.length data - !pos then raise (Corrupt "truncated")
       in
       let get_int () =
         need 8;

@@ -85,21 +85,41 @@ type acc = {
   mutable error : string option;  (* the first, in row order *)
 }
 
-type group = {
+type bound = {
   aggs : t;
-  accs : acc array;
-  mutable rows : int;
-  env : Eval.env;
+  args : Eval.compiled array;  (* each call's argument, by call *)
+  udts : Genalg_storage.Udt.t;
+  scope : Eval.scope;
+  width : int;  (* the scope's slots; the finished calls follow them *)
 }
 
-let group aggs env =
+let bind aggs udts scope =
+  {
+    aggs;
+    args = Array.map (fun c -> Eval.compile udts scope c.arg) aggs.calls;
+    udts;
+    scope;
+    width = Eval.width scope;
+  }
+
+type group = {
+  bound : bound;
+  accs : acc array;
+  mutable rows : int;
+  row : D.value array;
+  mutable finished : (D.value array * string option array) option;
+      (* the row's slots, then each call's value (NULL if it failed);
+         and each call's error *)
+}
+
+let group bound row =
   let fresh _ =
     { n = 0; int_sum = 0; wraps = 0; float_sum = 0.; has_float = false;
       partials = 0; best = D.Null; error = None }
   in
-  { aggs; accs = Array.map fresh aggs.calls; rows = 0; env }
+  { bound; accs = Array.map fresh bound.aggs.calls; rows = 0; row; finished = None }
 
-let lacks_row g = g.rows = 0 && g.aggs.reads_row
+let lacks_row g = g.rows = 0 && g.bound.aggs.reads_row
 
 let add_number c kind v =
   match v with
@@ -131,14 +151,14 @@ let feed_value c kind v =
     | Max, best -> if D.compare_value v best > 0 then c.best <- v
   end
 
-let feed_row g env =
+let feed_row g row =
   g.rows <- g.rows + 1;
   for i = 0 to Array.length g.accs - 1 do
-    let call = g.aggs.calls.(i) and c = g.accs.(i) in
-    match call.kind, c.error with
+    let c = g.accs.(i) in
+    match g.bound.aggs.calls.(i).kind, c.error with
     | Count_star, _ | _, Some _ -> ()
     | kind, None -> (
-        match Eval.eval env call.arg with
+        match g.bound.args.(i) row with
         | Ok v -> feed_value c kind v
         | Error msg -> c.error <- Some msg)
   done
@@ -148,7 +168,7 @@ let feed_partials g (row : D.value array) pos =
   let pos = ref pos in
   for i = 0 to Array.length g.accs - 1 do
     let c = g.accs.(i) and p = !pos in
-    (match g.aggs.calls.(i).kind with
+    (match g.bound.aggs.calls.(i).kind with
     | Count_star -> g.rows <- g.rows + count_at p
     | Count -> c.n <- c.n + count_at p
     | (Min | Max) as kind -> feed_value c kind row.(p)
@@ -167,7 +187,7 @@ let feed_partials g (row : D.value array) pos =
 
 let finish g i =
   let c = g.accs.(i) in
-  match g.aggs.calls.(i).kind, c.error with
+  match g.bound.aggs.calls.(i).kind, c.error with
   | _, Some msg -> Error msg
   | Count_star, None -> Ok (D.Int g.rows)
   | Count, None -> Ok (D.Int c.n)
@@ -184,27 +204,44 @@ let finish g i =
         Error (if kind = Sum then "integer overflow in SUM" else "integer overflow in AVG")
       else Ok (if kind = Sum then D.Int c.int_sum else avg (float_of_int c.int_sum))
 
-let eval g e =
-  let exception Failed of string in
-  let rec go e =
+let finished g =
+  match g.finished with
+  | Some f -> f
+  | None ->
+      let w = g.bound.width and n = Array.length g.accs in
+      let values = Array.make (w + n) D.Null and errors = Array.make n None in
+      Array.blit g.row 0 values 0 (Int.min w (Array.length g.row));
+      for i = 0 to n - 1 do
+        match finish g i with
+        | Ok v -> values.(w + i) <- v
+        | Error msg -> errors.(i) <- Some msg
+      done;
+      g.finished <- Some (values, errors);
+      (values, errors)
+
+let compile b e =
+  let index e = Array.find_index (fun c -> Ast.equal_expr c.expr e) b.aggs.calls in
+  (* the calls in [e], left to right *)
+  let rec calls acc e =
     if is_call e then
-      match
-        Array.find_index (fun c -> Ast.equal_expr c.expr e) g.aggs.calls
-      with
-      | None ->
-          raise (Failed ("aggregate not collected: " ^ Ast.expr_to_string e))
-      | Some i -> (
-          match finish g i with
-          | Ok v -> Ast.Lit v
-          | Error msg -> raise (Failed msg))
-    else
-      match e with
-      | Ast.Fn (name, args) -> Ast.Fn (name, List.map go args)
-      | Ast.Not a -> Ast.Not (go a)
-      | Ast.Neg a -> Ast.Neg (go a)
-      | Ast.Binop (op, a, b) ->
-          let a = go a in
-          Ast.Binop (op, a, go b)
-      | Ast.Lit _ | Ast.Col _ | Ast.Count_star -> e
+      (match index e with
+      | Some i -> Ok i
+      | None -> Error ("aggregate not collected: " ^ Ast.expr_to_string e))
+      :: acc
+    else List.fold_left calls acc (children e)
   in
-  match go e with e -> Eval.eval g.env e | exception Failed msg -> Error msg
+  let checks = List.rev (calls [] e) in
+  let f =
+    Eval.compile
+      ~aggregate:(fun e -> Option.map (fun i -> b.width + i) (index e))
+      b.udts b.scope e
+  in
+  fun g ->
+    let values, errors = finished g in
+    let rec check = function
+      | [] -> f values
+      | Ok i :: rest -> (
+          match errors.(i) with Some msg -> Error msg | None -> check rest)
+      | Error msg :: _ -> Error msg
+    in
+    check checks

@@ -27,16 +27,21 @@ val partial_items : t -> Ast.expr list
 (** What a shard computes per group for {!feed_partials}: one column
     per call in call order, two for [avg] (its sum, then its count). *)
 
+type bound
+(** The calls with their arguments compiled against a scope. *)
+
+val bind : t -> Genalg_storage.Udt.t -> Eval.scope -> bound
+
 type group
-(** One group's accumulators, and a way to read its columns. *)
+(** One group's accumulators, and the row its columns are read from. *)
 
-val group : t -> Eval.env -> group
-(** Fresh accumulators, a group that saw no rows, reading columns
-    through the environment: the group's first row, or in the scatter
-    merge its keys. *)
+val group : bound -> D.value array -> group
+(** Fresh accumulators, a group that saw no rows, reading columns from
+    a row laid out as the bound scope: the group's first row, or in the
+    scatter merge its keys. On empty input the row is [[||]]. *)
 
-val feed_row : group -> Eval.env -> unit
-(** Feed one row. *)
+val feed_row : group -> D.value array -> unit
+(** Feed one row, laid out as the bound scope. *)
 
 val feed_partials : group -> D.value array -> int -> unit
 (** [feed_partials g row pos] feeds one shard's partials for the group,
@@ -49,7 +54,9 @@ val lacks_row : group -> bool
 (** The group saw no rows, and the statement reads a column outside
     every aggregate call: there is no row to read it from. *)
 
-val eval : group -> Ast.expr -> (D.value, string) result
-(** Evaluate an expression over the group: each aggregate call is its
-    finished value, the first failed one in left-to-right order the
-    [Error]. *)
+val compile : bound -> Ast.expr -> group -> (D.value, string) result
+(** Compile an expression over groups once: each aggregate call reads
+    the group's finished value, every other column the group's row. If
+    a call in the expression failed, the first failed one in
+    left-to-right order is the [Error], whether or not evaluation would
+    reach it. Evaluate a group only once it has been fed every row. *)

@@ -26,38 +26,6 @@ let c_hash_steps = Obs.counter "sqlx.join.hash_steps"
 let c_nested_steps = Obs.counter "sqlx.join.nested_steps"
 let c_scan_partitions = Obs.counter "sqlx.scan.partitions"
 
-type binding = {
-  alias : string;
-  schema : Schema.t;
-  values : D.value array;
-}
-
-let lookup_in bindings qualifier name =
-  let lname = String.lowercase_ascii name in
-  match qualifier with
-  | Some q ->
-      let lq = String.lowercase_ascii q in
-      (match List.find_opt (fun b -> String.lowercase_ascii b.alias = lq) bindings with
-      | None -> Error (Printf.sprintf "unknown table alias %s" q)
-      | Some b -> (
-          match Schema.column_index b.schema lname with
-          | Some i -> Ok b.values.(i)
-          | None -> Error (Printf.sprintf "no column %s in %s" name q)))
-  | None -> (
-      let hits =
-        List.filter_map
-          (fun b ->
-            Option.map (fun i -> b.values.(i)) (Schema.column_index b.schema lname))
-          bindings
-      in
-      match hits with
-      | [ v ] -> Ok v
-      | [] -> Error (Printf.sprintf "unknown column %s" name)
-      | _ -> Error (Printf.sprintf "ambiguous column %s" name))
-
-let env_of db bindings =
-  { Eval.lookup = (fun q n -> lookup_in bindings q n); udts = Db.udts db }
-
 let rec map_result f = function
   | [] -> Ok []
   | x :: rest ->
@@ -68,24 +36,27 @@ let rec map_result f = function
 (* ------------------------------------------------------------------ *)
 (* Parallel row filtering and join expansion.
 
-   The heap already holds rows as immutable arrays; a scan gathers them
-   sequentially and the binding arrays are then partitioned over the
+   A row is one flat array holding its bindings' values side by side,
+   laid out as the statement's {!Eval.scope}; every expression is
+   compiled against that scope once, before the first row. The heap
+   already holds rows as immutable arrays; a scan gathers them
+   sequentially and the rows are then partitioned over the
    {!Par} pool. Each partition writes only its own slot and partitions
    are merged in input order, so results — including which error
    surfaces first — are identical for any jobs setting. *)
 
 let par_row_threshold = 256
 
-let apply_filters db filters row =
+let apply_filters preds row =
   let rec apply = function
     | [] -> Ok true
-    | f :: fs -> (
-        match Eval.eval_predicate (env_of db row) f with
-        | Ok true -> apply fs
+    | p :: ps -> (
+        match p row with
+        | Ok true -> apply ps
         | Ok false -> Ok false
         | Error _ as e -> e)
   in
-  apply filters
+  apply preds
 
 (* [expand_ordered ~expand items] maps every item to the (ordered) list of
    rows it produces and concatenates in input order; the first error in
@@ -106,9 +77,9 @@ let expand_ordered ~expand items =
   let* out = merge [] 0 in
   Ok (out, dop)
 
-let filter_ordered db filters items =
+let filter_ordered preds items =
   expand_ordered items ~expand:(fun row ->
-      let* keep = apply_filters db filters row in
+      let* keep = apply_filters preds row in
       Ok (if keep then [ row ] else []))
 
 (* ------------------------------------------------------------------ *)
@@ -160,41 +131,34 @@ let scan_table db ~actor (tp : Plan.table_plan) =
             | Some rids -> from_rids rids
             | None -> full_scan ())
       in
-      let bindings_of row = { alias = tp.Plan.alias; schema; values = row } in
       (* apply pushed-down filters in plan order, over parallel
          partitions of the decoded rows when worthwhile *)
       (match !fallback_filter @ tp.Plan.filters with
-      | [] -> Ok (List.map bindings_of raw_rows, 1, None)
+      | [] -> Ok (schema, raw_rows, 1, None)
       | filters ->
           (* batch-at-a-time: columnar chunks with selection vectors,
              packed kernels where the classifier allows, the row
              evaluator otherwise (docs/EXECUTION.md) *)
           let rows = Array.of_list raw_rows in
+          let udts = Db.udts db in
+          let scope = Eval.scope [ (tp.Plan.alias, schema) ] in
           let dtype_of qualifier name =
-            let qualifier_ok =
-              match qualifier with
-              | None -> true
-              | Some q ->
-                  String.lowercase_ascii q
-                  = String.lowercase_ascii tp.Plan.alias
-            in
-            if not qualifier_ok then None
-            else
-              match Schema.column_index schema (String.lowercase_ascii name) with
-              | Some i -> Some ((Schema.column schema i).Schema.dtype, i)
-              | None -> None
+            match Eval.resolve scope qualifier name with
+            | Ok (slot, c) -> Some (c.Schema.dtype, slot)
+            | Error _ -> None
           in
           let resolves name args =
-            Genalg_storage.Udt.resolve_function (Db.udts db) name args <> None
+            Genalg_storage.Udt.resolve_function udts name args <> None
           in
-          let stages = Vec.compile ~dtype_of ~resolves filters in
-          let eval_row values f =
-            Eval.eval_predicate (env_of db [ bindings_of values ]) f
+          let stages =
+            Vec.compile ~dtype_of ~resolves
+              ~predicate:(Eval.compile_predicate udts scope) filters
           in
-          let* kept, report = Vec.run ~eval_row ~stages rows in
+          let* kept, report = Vec.run ~stages rows in
           if report.Vec.parts > 1 then Obs.add c_scan_partitions report.Vec.parts;
           Ok
-            ( List.map (fun i -> bindings_of rows.(i)) kept,
+            ( schema,
+              List.map (fun i -> rows.(i)) kept,
               report.Vec.parts,
               Some report ))
 
@@ -222,68 +186,63 @@ module JoinHash = Hashtbl.Make (struct
       (match v with D.Int i -> D.Float (float_of_int i) | v -> v)
 end)
 
-let build_hash right_rows ~inner_col ~step_alias =
+let build_hash right_rows ~schema ~inner_col ~step_alias =
   let tbl = JoinHash.create (max 16 (2 * List.length right_rows)) in
   let* idx =
     match right_rows with
     | [] -> Ok (-1)
-    | b :: _ -> (
-        match Schema.column_index b.schema (String.lowercase_ascii inner_col) with
+    | _ :: _ -> (
+        match Schema.column_index schema inner_col with
         | Some i -> Ok i
         | None -> Error (Printf.sprintf "no column %s in %s" inner_col step_alias))
   in
   List.iter
-    (fun b ->
-      let key = b.values.(idx) in
+    (fun values ->
+      let key = values.(idx) in
       if key <> D.Null then
         let prev = Option.value (JoinHash.find_opt tbl key) ~default:[] in
-        JoinHash.replace tbl key (b :: prev))
+        JoinHash.replace tbl key (values :: prev))
     right_rows;
   (* per-key chains back into scan order so output matches a nested loop *)
   JoinHash.filter_map_inplace (fun _ l -> Some (List.rev l)) tbl;
   Ok tbl
 
-(* Expand one accumulated row through the step: nested loop walks every
-   incoming row; hash probes the build table. Both apply the step's
-   residual filters per combined row and keep incoming-scan order. *)
-let exec_join_step db (step : Plan.join_step) ~right_rows acc_rows =
+(* Expand one accumulated row, laid out as [bound], through the step:
+   nested loop walks every incoming row; hash probes the build table.
+   Both apply the step's residual filters, compiled against [scope]
+   ([bound] and then the incoming table), per combined row and keep
+   incoming-scan order. *)
+let exec_join_step udts (step : Plan.join_step) ~bound ~scope ~schema
+    ~right_rows acc_rows =
+  let filters =
+    List.map (Eval.compile_predicate udts scope) step.Plan.step_filters
+  in
+  let join row candidates =
+    let rec go acc = function
+      | [] -> Ok (List.rev acc)
+      | values :: rest ->
+          let combined = Array.append row values in
+          let* keep = apply_filters filters combined in
+          go (if keep then combined :: acc else acc) rest
+    in
+    go [] candidates
+  in
   let* expand =
     match step.Plan.strategy with
     | Plan.Nested_loop ->
         Obs.add c_nested_steps 1;
-        Ok
-          (fun row ->
-            let rec go acc = function
-              | [] -> Ok (List.rev acc)
-              | b :: rest ->
-                  let combined = row @ [ b ] in
-                  let* keep = apply_filters db step.Plan.step_filters combined in
-                  go (if keep then combined :: acc else acc) rest
-            in
-            go [] right_rows)
+        Ok (fun row -> join row right_rows)
     | Plan.Hash_join { outer_alias; outer_col; inner_col } ->
         Obs.add c_hash_steps 1;
         let* tbl =
-          build_hash right_rows ~inner_col ~step_alias:step.Plan.step_alias
+          build_hash right_rows ~schema ~inner_col ~step_alias:step.Plan.step_alias
         in
+        let probe = Eval.compile udts bound (Ast.Col (Some outer_alias, outer_col)) in
         Ok
           (fun row ->
-            let* key = lookup_in row (Some outer_alias) outer_col in
+            let* key = probe row in
             if key = D.Null then Ok []
-            else
-              let matches =
-                Option.value (JoinHash.find_opt tbl key) ~default:[]
-              in
-              let rec go acc = function
-                | [] -> Ok (List.rev acc)
-                | b :: rest ->
-                    let combined = row @ [ b ] in
-                    let* keep =
-                      apply_filters db step.Plan.step_filters combined
-                    in
-                    go (if keep then combined :: acc else acc) rest
-              in
-              go [] matches)
+            else join row (Option.value (JoinHash.find_opt tbl key) ~default:[]))
   in
   expand_ordered ~expand (Array.of_list acc_rows)
 
@@ -414,24 +373,31 @@ end)
 
 type keyed_row = D.value array * (D.value * bool) list
 
-let order_keys eval order_by =
-  map_result
-    (fun { Ast.key; ascending } ->
-      let* v = eval key in
-      Ok (v, ascending))
-    order_by
+(* ORDER BY keys, compiled once, then evaluated per row or group *)
+let compile_order compile order_by =
+  List.map (fun { Ast.key; ascending } -> (compile key, ascending)) order_by
 
-let finish_groups ~items ~having ~order_by groups =
+let order_keys keys x =
+  map_result
+    (fun (key, ascending) ->
+      let* v = key x in
+      Ok (v, ascending))
+    keys
+
+let finish_groups bound ~items ~having ~order_by groups =
+  let compile = Agg.compile bound in
+  let items = List.map (fun (e, _) -> compile e) items in
+  let having = Option.map compile having in
+  let keys = compile_order compile order_by in
   let rec loop acc = function
     | [] -> Ok (List.rev acc)
     | g :: rest when Agg.lacks_row g -> loop acc rest
     | g :: rest ->
-        let eval = Agg.eval g in
         let* keep =
           match having with
           | None -> Ok true
           | Some h -> (
-              let* v = eval h in
+              let* v = h g in
               match v with
               | D.Bool b -> Ok b
               | D.Null -> Ok false
@@ -440,8 +406,8 @@ let finish_groups ~items ~having ~order_by groups =
         in
         if not keep then loop acc rest
         else
-          let* vs = map_result (fun (e, _) -> eval e) items in
-          let* ks = order_keys eval order_by in
+          let* vs = map_result (fun item -> item g) items in
+          let* ks = order_keys keys g in
           loop ((Array.of_list vs, ks) :: acc) rest
   in
   loop [] groups
@@ -519,7 +485,7 @@ let run_select_profiled ?(optimize = true) db ~actor (select : Ast.select) =
           scan_table db ~actor tp)
     in
     (match res with
-    | Ok (rows, parts, vec) ->
+    | Ok (_, rows, parts, vec) ->
         let label =
           Printf.sprintf "Scan %s%s via %s%s%s%s" tp.Plan.table
             (if tp.Plan.alias <> tp.Plan.table then " as " ^ tp.Plan.alias else "")
@@ -540,35 +506,46 @@ let run_select_profiled ?(optimize = true) db ~actor (select : Ast.select) =
             elapsed_s = Obs.now_s () -. t0; children = [] }
           :: !scan_profs
     | Error _ -> ());
-    Result.map (fun (rows, _, _) -> rows) res
+    Result.map (fun (schema, rows, _, _) -> (schema, rows)) res
+  in
+  let udts = Db.udts db in
+  (* the planned scope: the tables in join order, each binding's slots
+     after the previous ones' *)
+  let bind scope (tp : Plan.table_plan) schema =
+    scope @ [ { Eval.alias = tp.Plan.alias; schema; offset = Eval.width scope } ]
   in
   (* scan + join: one step per table after the first, following the
      planner's per-step strategy and filter assignment *)
-  let* joined, join_prof =
+  let* scope, joined, join_prof =
     match plan.Plan.tables with
     | [] -> Error "SELECT requires a FROM clause"
     | first :: rest ->
-        let* first_rows = timed_scan first in
-        let first_rows = List.map (fun b -> [ b ]) first_rows in
+        let* schema, first_rows = timed_scan first in
         let join_dop = ref 1 in
-        let rec join_loop acc_rows steps tps =
+        let rec join_loop bound acc_rows steps tps =
           match steps, tps with
-          | [], [] -> Ok acc_rows
+          | [], [] -> Ok (bound, acc_rows)
           | step :: steps_rest, tp :: tps_rest ->
-              let* right_rows = timed_scan tp in
-              let* out, dop = exec_join_step db step ~right_rows acc_rows in
+              let* schema, right_rows = timed_scan tp in
+              let scope = bind bound tp schema in
+              let* out, dop =
+                exec_join_step udts step ~bound ~scope ~schema ~right_rows acc_rows
+              in
               join_dop := max !join_dop dop;
-              join_loop out steps_rest tps_rest
+              join_loop scope out steps_rest tps_rest
           | _ -> Error "internal error: join plan shape mismatch"
         in
-        let* out = join_loop first_rows plan.Plan.joins rest in
+        let* scope, out =
+          join_loop (bind [] first schema) first_rows plan.Plan.joins rest
+        in
         (* conjuncts no step could evaluate: apply last so the same
            evaluation error a nested loop would hit still surfaces *)
         let* out =
           match plan.Plan.tail_filters with
           | [] -> Ok out
           | fs ->
-              let* kept, dop = filter_ordered db fs (Array.of_list out) in
+              let preds = List.map (Eval.compile_predicate udts scope) fs in
+              let* kept, dop = filter_ordered preds (Array.of_list out) in
               join_dop := max !join_dop dop;
               Ok kept
         in
@@ -605,85 +582,76 @@ let run_select_profiled ?(optimize = true) db ~actor (select : Ast.select) =
                 est_rows = est_of plan.Plan.est_out;
                 elapsed_s = Obs.now_s () -. t_query0; children = scans }
         in
-        Ok (out, prof)
+        Ok (scope, out, prof)
   in
-  (* cost-based join reordering permutes execution order; bindings are
-     restored to the written FROM order here so projection output
-     (column order of SELECT *, column names) is plan-invariant *)
-  let joined =
-    let planned = List.map (fun (tp : Plan.table_plan) -> tp.Plan.alias) plan.Plan.tables in
-    if planned = plan.Plan.output_order then joined
-    else
-      List.map
-        (fun bindings ->
-          List.filter_map
-            (fun a ->
-              List.find_opt
-                (fun b -> String.lowercase_ascii b.alias = String.lowercase_ascii a)
-                bindings)
-            plan.Plan.output_order)
-        joined
+  (* cost-based join reordering permutes execution order; the scope the
+     statement's expressions see lists the bindings in the written FROM
+     order, at their planned slots, so projection output (column order
+     of SELECT *, column names) is plan-invariant. A qualifier names the
+     first planned binding with that alias. *)
+  let restored =
+    List.filter_map
+      (fun a ->
+        List.find_opt
+          (fun (b : Eval.binding) ->
+            String.lowercase_ascii b.Eval.alias = String.lowercase_ascii a)
+          scope)
+      plan.Plan.output_order
   in
-  (* projection setup *)
-  let column_names bindings =
-    let multi = List.length bindings > 1 in
-    List.concat_map
-      (fun b ->
-        List.map
-          (fun (c : Schema.column) ->
-            if multi then b.alias ^ "." ^ c.Schema.name else c.Schema.name)
-          (Schema.columns b.schema))
-      bindings
-  in
+  let planned = List.map (fun (tp : Plan.table_plan) -> tp.Plan.alias) plan.Plan.tables in
+  let in_order = planned = plan.Plan.output_order in
+  let out_scope = if in_order then scope else restored in
+  let compile = Eval.compile udts out_scope in
   if not (Ast.needs_grouping select) then begin
     let* columns, rows =
       match select.Ast.projection with
       | Ast.Star ->
           let rows =
-            List.map
-              (fun bindings ->
-                Array.concat (List.map (fun b -> Array.copy b.values) bindings))
-              joined
+            if in_order then List.map Array.copy joined
+            else
+              List.map
+                (fun row ->
+                  Array.concat
+                    (List.map
+                       (fun (b : Eval.binding) ->
+                         Array.sub row b.Eval.offset (Schema.arity b.Eval.schema))
+                       out_scope))
+                joined
           in
           let columns =
-            match joined with
-            | [] -> (
-                (* derive names from the plan's tables, in FROM order *)
-                match
-                  List.filter_map
-                    (fun a ->
-                      List.find_opt
-                        (fun (tp : Plan.table_plan) ->
-                          String.lowercase_ascii tp.Plan.alias
-                          = String.lowercase_ascii a)
-                        plan.Plan.tables)
-                    plan.Plan.output_order
-                with
-                | [] -> []
-                | tps ->
-                    let multi = List.length tps > 1 in
-                    List.concat_map
-                      (fun (tp : Plan.table_plan) ->
-                        match Db.resolve db ~actor tp.Plan.table with
-                        | Some (_, t) ->
-                            List.map
-                              (fun (c : Schema.column) ->
-                                if multi then tp.Plan.alias ^ "." ^ c.Schema.name
-                                else c.Schema.name)
-                              (Schema.columns (Table.schema t))
-                        | None -> [])
-                      tps)
-            | first :: _ -> column_names first
+            (* with no rows the names follow the restored order, even
+               where the plan kept the FROM order: the two differ only
+               when an alias repeats *)
+            let bindings = if joined = [] then restored else out_scope in
+            let multi = List.length bindings > 1 in
+            List.concat_map
+              (fun (b : Eval.binding) ->
+                List.map
+                  (fun (c : Schema.column) ->
+                    if multi then b.Eval.alias ^ "." ^ c.Schema.name else c.Schema.name)
+                  (Schema.columns b.Eval.schema))
+              bindings
           in
           Ok (columns, rows)
       | Ast.Exprs items ->
           let columns = List.map Ast.item_name items in
+          let items = Array.of_list (List.map (fun (e, _) -> compile e) items) in
+          let project row =
+            let out = Array.make (Array.length items) D.Null in
+            let rec fill i =
+              if i = Array.length items then Ok out
+              else
+                let* v = items.(i) row in
+                out.(i) <- v;
+                fill (i + 1)
+            in
+            fill 0
+          in
           let rec per_row acc = function
             | [] -> Ok (List.rev acc)
-            | bindings :: rest ->
-                let env = env_of db bindings in
-                let* vs = map_result (fun (e, _) -> Eval.eval env e) items in
-                per_row (Array.of_list vs :: acc) rest
+            | row :: rest ->
+                let* out = project row in
+                per_row (out :: acc) rest
           in
           let* rows = per_row [] joined in
           Ok (columns, rows)
@@ -691,11 +659,12 @@ let run_select_profiled ?(optimize = true) db ~actor (select : Ast.select) =
     (* ORDER BY keys over source rows, once every row is projected: a
        projection error anywhere wins over a key error *)
     let* decorated =
-      let rec deco acc rows ctxs =
-        match rows, ctxs with
-        | row :: rrest, ctx :: crest ->
-            let* ks = order_keys (Eval.eval (env_of db ctx)) select.Ast.order_by in
-            deco ((row, ks) :: acc) rrest crest
+      let keys = compile_order compile select.Ast.order_by in
+      let rec deco acc rows sources =
+        match rows, sources with
+        | row :: rrest, source :: srest ->
+            let* ks = order_keys keys source in
+            deco ((row, ks) :: acc) rrest srest
         | _ -> Ok (List.rev acc)
       in
       deco [] rows joined
@@ -718,33 +687,34 @@ let run_select_profiled ?(optimize = true) db ~actor (select : Ast.select) =
       | Ast.Star -> []
     in
     let* calls = Agg.collect select in
+    let bound = Agg.bind calls udts out_scope in
+    let keys = List.map compile select.Ast.group_by in
     let index = ref Group_keys.empty and order = ref [] in
     let rec key_rows = function
       | [] -> Ok ()
-      | bindings :: rest ->
-          let env = env_of db bindings in
-          let* k = map_result (Eval.eval env) select.Ast.group_by in
+      | row :: rest ->
+          let* k = map_result (fun key -> key row) keys in
           let g =
             match Group_keys.find_opt k !index with
             | Some g -> g
             | None ->
-                let g = Agg.group calls env in
+                let g = Agg.group bound row in
                 index := Group_keys.add k g !index;
                 order := g :: !order;
                 g
           in
-          Agg.feed_row g env;
+          Agg.feed_row g row;
           key_rows rest
     in
     let* () = key_rows joined in
     let groups =
       match !order, select.Ast.group_by with
-      | [], [] -> [ Agg.group calls (env_of db []) ]
+      | [], [] -> [ Agg.group bound [||] ]
       | groups, _ -> List.rev groups
     in
     let* out_rows =
-      finish_groups ~items ~having:select.Ast.having ~order_by:select.Ast.order_by
-        groups
+      finish_groups bound ~items ~having:select.Ast.having
+        ~order_by:select.Ast.order_by groups
     in
     let group_prof =
       let op =
@@ -886,7 +856,7 @@ let run ?optimize db ~actor stmt =
       | Some t ->
           let schema = Table.schema t in
           let arity = Schema.arity schema in
-          let env = { Eval.lookup = (fun _ n -> Error ("unknown column " ^ n)); udts = Db.udts db } in
+          let udts = Db.udts db in
           let rec insert_rows n = function
             | [] -> Ok (Affected n)
             | exprs :: rest ->
@@ -894,7 +864,7 @@ let run ?optimize db ~actor stmt =
                   let rec vals acc = function
                     | [] -> Ok (List.rev acc)
                     | e :: more ->
-                        let* v = Eval.eval env e in
+                        let* v = Eval.compile udts [] e [||] in
                         vals (v :: acc) more
                   in
                   vals [] exprs
@@ -941,7 +911,12 @@ let run ?optimize db ~actor stmt =
       match Db.find_table db ~space table with
       | None -> Error (Printf.sprintf "no table %s in your writable space" table)
       | Some t ->
-          let schema = Table.schema t in
+          let where =
+            Option.map
+              (Eval.compile_predicate (Db.udts db)
+                 (Eval.scope [ (table, Table.schema t) ]))
+              where
+          in
           let victims = ref [] in
           let err = ref None in
           Table.scan t (fun rid row ->
@@ -949,8 +924,7 @@ let run ?optimize db ~actor stmt =
                 match where with
                 | None -> victims := rid :: !victims
                 | Some w -> (
-                    let b = { alias = table; schema; values = row } in
-                    match Eval.eval_predicate (env_of db [ b ]) w with
+                    match w row with
                     | Ok true -> victims := rid :: !victims
                     | Ok false -> ()
                     | Error msg -> err := Some msg));

@@ -94,14 +94,16 @@ type keyed_row = D.value array * (D.value * bool) list
 (** An output row with its ORDER BY key values and ascending flags. *)
 
 val finish_groups :
+  Agg.bound ->
   items:(Ast.expr * string option) list ->
   having:Ast.expr option ->
   order_by:Ast.order_item list ->
   Agg.group list -> (keyed_row list, string) result
-(** Per group in order: HAVING (a non-boolean, non-NULL result is the
-    error ["HAVING evaluated to <v>"]), then the projection, then the
-    ORDER BY keys, over its aggregates' finished values; the first
-    error wins. A group that {!Agg.lacks_row} gives no output row. *)
+(** Compiles HAVING, the projection and the ORDER BY keys once with
+    {!Agg.compile}, then per group in order evaluates HAVING (a
+    non-boolean, non-NULL result is the error ["HAVING evaluated to
+    <v>"]), the projection and the keys; the first error wins. A group
+    that {!Agg.lacks_row} gives no output row. *)
 
 val order_and_limit :
   ?on_sorted:(unit -> unit) -> limit:int option -> keyed_row list ->

@@ -219,44 +219,58 @@ let merge_plain p gathered =
   }
 
 type group = {
-  gaggs : Agg.group;
-  mutable gmin_grid : int;
+  mutable first : D.value array;
+      (* the gathered row with the least [__grid]: the group's keys are
+         its key values, as the single node's are its first row's *)
+  mutable min_grid : int;
+  mutable rows : D.value array list;  (* gathered order, newest first *)
 }
 
 let merge_grouped ~udts g gathered =
+  let grid (row : D.value array) =
+    match row.(Array.length row - 1) with D.Int grid -> grid | _ -> max_int
+  in
   let index = ref Exec.Group_keys.empty and order = ref [] in
   List.iter
     (fun (row : D.value array) ->
       let key = List.init g.g_nkeys (Array.get row) in
-      let grp =
-        match Exec.Group_keys.find_opt key !index with
-        | Some grp -> grp
-        | None ->
-            let lookup _ name =
-              match int_of_string_opt name with
-              | Some i when i >= 0 && i < g.g_nkeys -> Ok (List.nth key i)
-              | _ -> Error ("unknown column " ^ name)
-            in
-            let grp =
-              { gaggs = Agg.group g.g_aggs { Eval.lookup; udts }; gmin_grid = max_int }
-            in
-            index := Exec.Group_keys.add key grp !index;
-            order := grp :: !order;
-            grp
-      in
-      Agg.feed_partials grp.gaggs row g.g_nkeys;
-      match row.(Array.length row - 1) with
-      | D.Int grid when grid < grp.gmin_grid -> grp.gmin_grid <- grid
-      | _ -> ())
+      match Exec.Group_keys.find_opt key !index with
+      | Some grp ->
+          grp.rows <- row :: grp.rows;
+          if grid row < grp.min_grid then begin
+            grp.first <- row;
+            grp.min_grid <- grid row
+          end
+      | None ->
+          let grp = { first = row; min_grid = grid row; rows = [ row ] } in
+          index := Exec.Group_keys.add key grp !index;
+          order := grp :: !order)
     gathered;
+  (* the merge's expressions read the keys: the i-th group key is the
+     column named [i] (see [over_keys]) *)
+  let keys =
+    Genalg_storage.Schema.make_exn
+      (List.init g.g_nkeys (fun i ->
+           { Genalg_storage.Schema.name = string_of_int i; dtype = D.TString;
+             nullable = true }))
+  in
+  let bound = Agg.bind g.g_aggs udts (Eval.scope [ ("", keys) ]) in
   (* global group order = first occurrence in the unpartitioned scan *)
   let ordered =
     List.stable_sort
-      (fun a b -> Int.compare a.gmin_grid b.gmin_grid)
+      (fun a b -> Int.compare a.min_grid b.min_grid)
       (List.rev !order)
+  in
+  let groups =
+    List.map
+      (fun grp ->
+        let ag = Agg.group bound grp.first in
+        List.iter (fun row -> Agg.feed_partials ag row g.g_nkeys) (List.rev grp.rows);
+        ag)
+      ordered
   in
   Result.map
     (fun rows ->
       { Exec.columns = g.g_columns; rows = Exec.order_and_limit ~limit:g.g_limit rows })
-    (Exec.finish_groups ~items:g.g_items ~having:g.g_having ~order_by:g.g_order
-       (List.map (fun grp -> grp.gaggs) ordered))
+    (Exec.finish_groups bound ~items:g.g_items ~having:g.g_having
+       ~order_by:g.g_order groups)

@@ -4,11 +4,11 @@
    selection vector instead of evaluating predicates row by row.
    Predicates the classifier recognizes run as word-level kernels
    straight on the 2-bit/4-bit packed sequence payload ({!Sequence}'s
-   framed kernels) — no [Bytes.sub], no decode to text, no [Eval] env
-   per row. Everything else (and every row a kernel cannot serve:
+   framed kernels) — no [Bytes.sub], no decode to text, no row
+   evaluator call. Everything else (and every row a kernel cannot serve:
    NULLs, corrupt frames, mismatched alphabets, unregistered
-   functions) is decided by the row evaluator ([Eval.eval_predicate])
-   for that row, so results — including which error surfaces, and in
+   functions) is decided by the stage's compiled predicate
+   ([Eval.compile_predicate]) for that row, so results — including which error surfaces, and in
    which input order — are those of evaluating the filters row by row. *)
 
 module D = Genalg_storage.Dtype
@@ -114,7 +114,7 @@ let classify ~dtype_of ~resolves expr =
 (* ------------------------------------------------------------------ *)
 (* Kernel application                                                  *)
 
-(* Replica of [Eval.compare_op] ∘ [Eval.eval_predicate] for the
+(* Replica of [Eval.compare_op] ∘ [Eval.compile_predicate] for the
    kernel-computed operand: a NULL literal compares to SQL NULL, which
    the predicate context reads as false; otherwise [D.compare_value]
    is total (numeric Int/Float, cross-type via rank), so no error
@@ -173,16 +173,15 @@ let apply_of k =
 (* The fused filter pipeline                                           *)
 
 type stage = {
-  st_expr : Ast.expr;
   st_kernel : (kernel * (D.value array -> bool option)) option;
+  st_eval : D.value array -> (bool, string) result;
 }
 
-let compile ~dtype_of ~resolves filters =
+let compile ~dtype_of ~resolves ~predicate filters =
   List.map
     (fun f ->
-      match classify ~dtype_of ~resolves f with
-      | Some k -> { st_expr = f; st_kernel = Some (k, apply_of k) }
-      | None -> { st_expr = f; st_kernel = None })
+      { st_kernel = Option.map (fun k -> (k, apply_of k)) (classify ~dtype_of ~resolves f);
+        st_eval = predicate f })
     filters
 
 let kernel_labels stages =
@@ -215,7 +214,7 @@ let par_row_threshold = 256
    major for locality, which cannot change any of that: stage order
    per row is preserved by the shrinking selection vector, and errors
    are recorded with their row index and minimized at the merge. *)
-let run ~eval_row ~stages rows =
+let run ~stages rows =
   let n = Array.length rows in
   let nchunks = max 1 ((n + chunk_rows - 1) / chunk_rows) in
   let do_chunk ci =
@@ -238,7 +237,7 @@ let run ~eval_row ~stages rows =
           let r = Array.unsafe_get sel i in
           let scalar () =
             incr fr;
-            match eval_row rows.(r) st.st_expr with
+            match st.st_eval rows.(r) with
             | Ok b -> b
             | Error msg ->
                 record_err r msg;

@@ -53,19 +53,22 @@ val classify :
 (** {2 The fused filter pipeline} *)
 
 type stage = {
-  st_expr : Ast.expr;
   st_kernel : (kernel * (D.value array -> bool option)) option;
       (** [None]: row-evaluated stage. The kernel function returns
           [None] for rows it cannot decide (NULL, corrupt frame, wrong
           alphabet), which routes that row to the row evaluator. *)
+  st_eval : D.value array -> (bool, string) result;
+      (** the row evaluator: the filter compiled once *)
 }
 
 val compile :
   dtype_of:(string option -> string -> (D.t * int) option) ->
   resolves:(string -> D.t list -> bool) ->
+  predicate:(Ast.expr -> D.value array -> (bool, string) result) ->
   Ast.expr list ->
   stage list
-(** One stage per pushed-down filter, in plan order. *)
+(** One stage per pushed-down filter, in plan order; [predicate]
+    compiles a filter for the row evaluator. *)
 
 val kernel_labels : stage list -> string list
 
@@ -80,7 +83,6 @@ type report = {
 }
 
 val run :
-  eval_row:(D.value array -> Ast.expr -> (bool, string) result) ->
   stages:stage list ->
   D.value array array ->
   (int list * report, string) result

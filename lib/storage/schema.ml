@@ -4,14 +4,17 @@ type column = {
   nullable : bool;
 }
 
-type t = { cols : column array }
+type t = {
+  cols : column array;
+  lnames : string array;  (* lowercased once here, for [column_index] *)
+}
 
 let make cols =
   let names = List.map (fun c -> String.lowercase_ascii c.name) cols in
   if List.exists (fun n -> n = "") names then Error "empty column name"
   else if List.length (List.sort_uniq String.compare names) <> List.length names then
     Error "duplicate column names"
-  else Ok { cols = Array.of_list cols }
+  else Ok { cols = Array.of_list cols; lnames = Array.of_list names }
 
 let make_exn cols =
   match make cols with
@@ -21,11 +24,20 @@ let make_exn cols =
 let columns t = Array.to_list t.cols
 let arity t = Array.length t.cols
 
+(* [lname] is lowercase; compares without building a lowercased copy *)
+let matches lname name =
+  let n = String.length lname in
+  n = String.length name
+  &&
+  let rec go i =
+    i = n || (lname.[i] = Char.lowercase_ascii name.[i] && go (i + 1))
+  in
+  go 0
+
 let column_index t name =
-  let lname = String.lowercase_ascii name in
   let rec loop i =
-    if i = Array.length t.cols then None
-    else if String.lowercase_ascii t.cols.(i).name = lname then Some i
+    if i = Array.length t.lnames then None
+    else if matches t.lnames.(i) name then Some i
     else loop (i + 1)
   in
   loop 0

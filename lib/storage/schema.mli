@@ -17,7 +17,7 @@ val columns : t -> column list
 val arity : t -> int
 
 val column_index : t -> string -> int option
-(** Case-insensitive lookup. *)
+(** Case-insensitive lookup; allocates nothing but the result. *)
 
 val column : t -> int -> column
 

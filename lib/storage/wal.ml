@@ -176,8 +176,10 @@ let scan ?from file =
           let wanted txn =
             match from with None -> true | Some cut -> txn > cut
           in
+          (* [n - remaining], not [pos + n]: a length field near
+             [max_int] would wrap the sum negative and pass *)
           let need n =
-            if !pos + n > Bytes.length data then raise Torn
+            if n > Bytes.length data - !pos then raise Torn
           in
           let read_i64 () =
             need 8;

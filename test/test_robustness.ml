@@ -127,6 +127,50 @@ let test_row_decode_fuzz () =
   no_crash "Dtype.decode_row" (fun s -> D.decode_row (Bytes.of_string s))
     (fuzz_corpus rng base 200)
 
+(* A length field of [max_int] wraps [pos + n] negative: a bounds check
+   written that way passes, and the read that follows raises. Each
+   decoder must report the record as truncated instead. *)
+let int64_le i =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_le b 0 (Int64.of_int i);
+  Bytes.to_string b
+
+let test_wal_huge_length () =
+  let module Wal = Genalg_storage.Wal in
+  (* magic, record length, CRC, one payload byte: 26 bytes *)
+  let raw = "GENALGWL1" ^ int64_le max_int ^ int64_le 0 ^ "B" in
+  check Alcotest.int "file size" 26 (String.length raw);
+  let path = Filename.temp_file "huge" ".wal" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc raw);
+      match Wal.replay path with
+      | Ok rp ->
+          check Alcotest.bool "torn tail" true rp.Wal.torn;
+          check Alcotest.int "nothing committed" 0 (List.length rp.Wal.committed)
+      | Error msg -> Alcotest.failf "replay: %s" msg
+      | exception exn -> Alcotest.failf "replay raised %s" (Printexc.to_string exn))
+
+let test_manifest_huge_length () =
+  let module Manifest = Genalg_shard.Manifest in
+  (* body: version 1, remote topology, actor name of length max_int *)
+  let body = int64_le 1 ^ "R" ^ int64_le max_int in
+  let crc = Int64.of_int32 (Genalg_storage.Checksum.string body) in
+  let b = Bytes.create 8 in
+  Bytes.set_int64_le b 0 crc;
+  let raw = "GENALGMF1" ^ Bytes.to_string b ^ body in
+  match Manifest.decode raw with
+  | Error msg -> check Alcotest.string "error" "corrupt manifest: truncated" msg
+  | Ok _ -> Alcotest.fail "decoded a truncated manifest"
+  | exception exn -> Alcotest.failf "decode raised %s" (Printexc.to_string exn)
+
+let test_codec_huge_length () =
+  (* a gene whose first sized field claims max_int bytes *)
+  match Genalg_adapter.Codec.decode_gene (Bytes.of_string (int64_le max_int ^ "x")) with
+  | Error msg -> check Alcotest.string "error" "truncated" msg
+  | Ok _ -> Alcotest.fail "decoded a truncated gene"
+
 let test_database_load_corruption () =
   (* a valid snapshot, then byte-level corruption: load must error, not
      crash or loop *)
@@ -197,6 +241,9 @@ let suites =
         tc "gene codec fuzz" `Quick test_codec_fuzz;
         tc "row decode fuzz" `Quick test_row_decode_fuzz;
         tc "database load corruption" `Quick test_database_load_corruption;
+        tc "wal length near max_int" `Quick test_wal_huge_length;
+        tc "manifest length near max_int" `Quick test_manifest_huge_length;
+        tc "gene codec length near max_int" `Quick test_codec_huge_length;
       ] );
     ("robustness.etl", [ tc "monitor corrupt dump" `Quick test_monitor_on_corrupt_dump ]);
   ]

@@ -512,6 +512,29 @@ let test_integer_sum_identity () =
   expect "SELECT count(*) FROM void HAVING count(*) > 0" (Ok []);
   expect ~scatters:false "SELECT x, count(*) FROM void" (Ok [])
 
+(* Int 1 and Float 1.0 are one group. The single node shows the key
+   value of the group's first row in insertion order; the merge must
+   take it from the gathered row with the least [__grid], whichever
+   shard that row came from. *)
+let test_group_key_of_first_row () =
+  let sqls =
+    "CREATE TABLE f (id int, x float)"
+    :: "INSERT INTO f VALUES (1, 1)"
+    :: List.init 7 (fun i -> Printf.sprintf "INSERT INTO f VALUES (%d, 1.0)" (i + 2))
+  in
+  let single = Db.create () in
+  attach single;
+  List.iter (fun sql -> ignore (ok (Exec.query single ~actor sql))) sqls;
+  let cl = ok (Cluster.create_local ~attach ~shards:4 ()) in
+  List.iter (fun sql -> ignore (ok (Cluster.query cl ~actor sql))) sqls;
+  let sql = "SELECT x, count(*) FROM f GROUP BY x" in
+  assert_same single cl sql;
+  (match Cluster.query cl ~actor sql with
+  | Ok (Exec.Rows rs) ->
+      checkb "key of the first row" true (rs.Exec.rows = [ [| D.Int 1; D.Int 8 |] ])
+  | _ -> Alcotest.fail "expected rows");
+  checkb "scatters" true ((Cluster.last_report cl).Cluster.fallback = None)
+
 (* The merge finds groups through the executor's key map, so allocation
    per gathered row stays flat as groups grow; searching a list of
    groups per row allocates O(rows x groups). *)
@@ -775,6 +798,8 @@ let suites =
           test_integer_sum_identity;
         Alcotest.test_case "fan-out GROUP BY with many groups" `Quick
           test_merge_many_groups;
+        Alcotest.test_case "group key from the first row in insertion order" `Quick
+          test_group_key_of_first_row;
       ] );
     ( "shard.failover",
       [

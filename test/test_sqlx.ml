@@ -65,7 +65,7 @@ let test_string_escapes () =
 let eval_const input =
   match Parser.parse_expr input with
   | Error msg -> Alcotest.failf "parse_expr %s: %s" input msg
-  | Ok e -> Eval.eval Eval.empty_env e
+  | Ok e -> Eval.compile (Genalg_storage.Udt.create ()) [] e [||]
 
 let test_eval_arithmetic () =
   check Alcotest.bool "1+2*3" true (eval_const "1 + 2 * 3" = Ok (D.Int 7));
