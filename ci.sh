@@ -60,6 +60,22 @@ lookup_uses=$( (grep -rnwE 'lookup_in|env_of' lib; \
 }
 echo "evaluator check ok"
 
+echo "== checks: one reader =="
+# Every binary decoder reads through Byte_reader, whose bounds check and
+# error are the only ones: no decoder exception of its own, no second
+# `need`, and no Invalid_argument handler that hides which read failed.
+decoders="lib/serve/protocol.ml lib/storage/database.ml lib/storage/wal.ml
+  lib/shard/manifest.ml lib/adapter/codec.ml lib/storage/dtype.ml"
+reader_escapes=$( (grep -rnE 'exception +(Malformed|Corrupt|Torn)\b' lib; \
+  grep -rnE 'let +(rec +)?need\b' lib | grep -v '^lib/storage/byte_reader\.ml:'; \
+  grep -nw 'Invalid_argument' $decoders) || true)
+[ -z "$reader_escapes" ] || {
+  echo "$reader_escapes" >&2
+  echo "reader check FAILED: a decoder bypasses Byte_reader" >&2
+  exit 1
+}
+echo "reader check ok"
+
 echo "== tests =="
 dune runtest
 

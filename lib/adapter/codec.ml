@@ -11,52 +11,23 @@ let add_seq buf seq =
   add_int buf (Bytes.length b);
   Buffer.add_bytes buf b
 
-exception Corrupt of string
-
-type reader = { data : bytes; mutable pos : int }
-
-(* [n - remaining], not [pos + n], which a length near [max_int] wraps
-   negative *)
-let need r n = if n > Bytes.length r.data - r.pos then raise (Corrupt "truncated")
-
-let read_int r =
-  need r 8;
-  let v = Int64.to_int (Bytes.get_int64_le r.data r.pos) in
-  r.pos <- r.pos + 8;
-  if v < 0 then raise (Corrupt "negative length");
-  v
-
-let read_sized r =
-  let n = read_int r in
-  need r n;
-  let s = Bytes.sub_string r.data r.pos n in
-  r.pos <- r.pos + n;
-  s
+module R = Genalg_storage.Byte_reader
 
 let read_seq r =
-  let n = read_int r in
-  need r n;
-  let b = Bytes.sub r.data r.pos n in
-  r.pos <- r.pos + n;
-  match Sequence.of_bytes b with
+  match Sequence.of_bytes (R.bytes r (R.int r)) with
   | Ok s -> s
-  | Error msg -> raise (Corrupt msg)
+  | Error msg -> R.fail msg
 
 let with_reader data f =
-  let r = { data; pos = 0 } in
-  match f r with
-  | v ->
-      if r.pos <> Bytes.length data then Error "trailing bytes"
-      else Ok v
-  | exception Corrupt msg -> Error msg
-  | exception Invalid_argument msg -> Error msg
+  R.run data (fun r ->
+      let v = f r in
+      R.expect_end r;
+      v)
 
 let read_exons r =
-  let n = read_int r in
-  List.init n (fun _ ->
-      let off = read_int r in
-      let len = read_int r in
-      (off, len))
+  List.init (R.count r) (fun _ ->
+      let off = R.int r in
+      (off, R.int r))
 
 let add_exons buf exons =
   add_int buf (List.length exons);
@@ -67,10 +38,10 @@ let add_exons buf exons =
     exons
 
 let read_code r =
-  let id = read_int r in
+  let id = R.int r in
   match Genetic_code.by_id id with
   | Some c -> c
-  | None -> raise (Corrupt (Printf.sprintf "unknown genetic code %d" id))
+  | None -> R.fail (Printf.sprintf "unknown genetic code %d" id)
 
 (* ---- gene ------------------------------------------------------- *)
 
@@ -86,8 +57,8 @@ let encode_gene (g : Gene.t) =
 let decode_gene data =
   Result.join
     (with_reader data (fun r ->
-         let id = read_sized r in
-         let name = read_sized r in
+         let id = R.string r in
+         let name = R.string r in
          let dna = read_seq r in
          let exons = read_exons r in
          let code = read_code r in
@@ -105,8 +76,8 @@ let encode_protein (p : Protein.t) =
 let decode_protein data =
   Result.join
     (with_reader data (fun r ->
-         let id = read_sized r in
-         let name = read_sized r in
+         let id = R.string r in
+         let name = R.string r in
          let residues = read_seq r in
          Protein.make ~name ~id residues))
 
@@ -121,12 +92,13 @@ let encode_primary (p : Transcript.primary) =
   Buffer.to_bytes buf
 
 let decode_primary data =
-  with_reader data (fun r ->
-      let gene_id = read_sized r in
-      let rna = read_seq r in
-      let exons = read_exons r in
-      let code = read_code r in
-      Transcript.primary ~gene_id ~exons ~code rna)
+  Result.join
+    (with_reader data (fun r ->
+         let gene_id = R.string r in
+         let rna = read_seq r in
+         let exons = read_exons r in
+         let code = read_code r in
+         Transcript.make_primary ~gene_id ~exons ~code rna))
 
 let encode_mrna (m : Transcript.mrna) =
   let buf = Buffer.create 128 in
@@ -136,8 +108,9 @@ let encode_mrna (m : Transcript.mrna) =
   Buffer.to_bytes buf
 
 let decode_mrna data =
-  with_reader data (fun r ->
-      let gene_id = read_sized r in
-      let rna = read_seq r in
-      let code = read_code r in
-      Transcript.mrna ~gene_id ~code rna)
+  Result.join
+    (with_reader data (fun r ->
+         let gene_id = R.string r in
+         let rna = read_seq r in
+         let code = read_code r in
+         Transcript.make_mrna ~gene_id ~code rna))

@@ -471,37 +471,12 @@ let to_bytes t =
   Bytes.blit t.payload 0 buf 9 payload_len;
   buf
 
-let of_bytes buf =
-  if Bytes.length buf < 9 then Error "Sequence.of_bytes: truncated header"
-  else
-    let tag = Char.code (Bytes.get buf 0) in
-    let alpha =
-      match tag lsr 2 with 0 -> Some Dna | 1 -> Some Rna | 2 -> Some Protein | _ -> None
-    in
-    let enc =
-      match tag land 3 with 0 -> Some Packed2 | 1 -> Some Packed4 | 2 -> Some Byte | _ -> None
-    in
-    match alpha, enc with
-    | Some alphabet, Some encoding ->
-        let len = Int64.to_int (Bytes.get_int64_le buf 1) in
-        let expected =
-          match encoding with
-          | Packed2 -> (len + 3) / 4
-          | Packed4 -> (len + 1) / 2
-          | Byte -> len
-        in
-        if len < 0 || Bytes.length buf <> 9 + expected then
-          Error "Sequence.of_bytes: payload length mismatch"
-        else
-          Ok { alphabet; encoding; len; payload = Bytes.sub buf 9 expected }
-    | _ -> Error "Sequence.of_bytes: bad tag byte"
-
 (* ------------------------------------------------------------------ *)
 (* Framed kernels: operate on a [to_bytes] buffer in place              *)
 
-(* Validates the frame exactly as [of_bytes] does but keeps the payload
-   where it is (offset 9) instead of copying it out — the scan kernels
-   below are the reason rows never need a per-row [Bytes.sub]. *)
+(* Validates a frame but keeps the payload where it is (offset 9):
+   [of_bytes] copies it out, the scan kernels below read it in place, so
+   rows never need a per-row [Bytes.sub]. *)
 let frame_info buf =
   if Bytes.length buf < 9 then None
   else
@@ -524,6 +499,12 @@ let frame_info buf =
         if len < 0 || Bytes.length buf <> 9 + expected then None
         else Some (alphabet, encoding, len)
     | _ -> None
+
+let of_bytes buf =
+  match frame_info buf with
+  | Some (alphabet, encoding, len) ->
+      Ok { alphabet; encoding; len; payload = Bytes.sub buf 9 (Bytes.length buf - 9) }
+  | None -> Error "Sequence.of_bytes: invalid frame"
 
 let framed_info buf =
   match frame_info buf with

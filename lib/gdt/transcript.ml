@@ -11,28 +11,32 @@ type mrna = {
   code : Genetic_code.t;
 }
 
+let ( let* ) = Result.bind
+
 let require_rna where seq =
   match Sequence.alphabet seq with
-  | Sequence.Rna -> ()
-  | Sequence.Dna | Sequence.Protein ->
-      invalid_arg (where ^ ": sequence must be RNA")
+  | Sequence.Rna -> Ok ()
+  | Sequence.Dna | Sequence.Protein -> Error (where ^ ": sequence must be RNA")
 
-let primary ~gene_id ~exons ~code rna =
-  require_rna "Transcript.primary" rna;
+let make_primary ~gene_id ~exons ~code rna =
+  let* () = require_rna "Transcript.primary" rna in
   let total = Sequence.length rna in
   let rec check prev_end = function
-    | [] -> ()
+    | [] -> Ok { gene_id; rna; exons; code }
     | (off, len) :: rest ->
         if len <= 0 || off < prev_end || off + len > total then
-          invalid_arg "Transcript.primary: invalid exon spans"
+          Error "Transcript.primary: invalid exon spans"
         else check (off + len) rest
   in
-  check 0 exons;
-  { gene_id; rna; exons; code }
+  check 0 exons
 
-let mrna ~gene_id ~code rna =
-  require_rna "Transcript.mrna" rna;
-  { gene_id; rna; code }
+let make_mrna ~gene_id ~code rna =
+  let* () = require_rna "Transcript.mrna" rna in
+  Ok { gene_id; rna; code }
+
+let get_ok = function Ok v -> v | Error msg -> invalid_arg msg
+let primary ~gene_id ~exons ~code rna = get_ok (make_primary ~gene_id ~exons ~code rna)
+let mrna ~gene_id ~code rna = get_ok (make_mrna ~gene_id ~code rna)
 
 let primary_length (t : primary) = Sequence.length t.rna
 let mrna_length (t : mrna) = Sequence.length t.rna

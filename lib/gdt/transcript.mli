@@ -15,13 +15,21 @@ type mrna = private {
   code : Genetic_code.t;
 }
 
+val make_primary :
+  gene_id:string -> exons:(int * int) list -> code:Genetic_code.t -> Sequence.t ->
+  (primary, string) result
+(** Build a primary transcript; the sequence must be RNA, exon spans must be
+    valid within it. *)
+
+val make_mrna : gene_id:string -> code:Genetic_code.t -> Sequence.t -> (mrna, string) result
+(** The sequence must be RNA. *)
+
 val primary :
   gene_id:string -> exons:(int * int) list -> code:Genetic_code.t -> Sequence.t -> primary
-(** Build a primary transcript; the sequence must be RNA, exon spans must be
-    valid within it. Raises [Invalid_argument] otherwise. *)
+(** {!make_primary}, raising [Invalid_argument] on an error. *)
 
 val mrna : gene_id:string -> code:Genetic_code.t -> Sequence.t -> mrna
-(** The sequence must be RNA. *)
+(** {!make_mrna}, raising [Invalid_argument] on an error. *)
 
 val primary_length : primary -> int
 val mrna_length : mrna -> int

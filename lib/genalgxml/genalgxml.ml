@@ -199,21 +199,19 @@ let rec of_xml node =
           let* exons = parse_exons node in
           let* g = Gene.make ~name ~exons ~code ~id dna in
           Ok (Value.VGene g)
-      | "primarytranscript" -> (
+      | "primarytranscript" ->
           let* gene_id = required_attr node "gene-id" in
           let* code = parse_code node in
           let* rna = child_sequence node "rna" Sequence.Rna in
           let* exons = parse_exons node in
-          match Transcript.primary ~gene_id ~exons ~code rna with
-          | p -> Ok (Value.VPrimary p)
-          | exception Invalid_argument msg -> Error msg)
-      | "mrna" -> (
+          let* p = Transcript.make_primary ~gene_id ~exons ~code rna in
+          Ok (Value.VPrimary p)
+      | "mrna" ->
           let* gene_id = required_attr node "gene-id" in
           let* code = parse_code node in
           let* rna = child_sequence node "rna" Sequence.Rna in
-          match Transcript.mrna ~gene_id ~code rna with
-          | m -> Ok (Value.VMrna m)
-          | exception Invalid_argument msg -> Error msg)
+          let* m = Transcript.make_mrna ~gene_id ~code rna in
+          Ok (Value.VMrna m)
       | "protein" ->
           let* id = required_attr node "id" in
           let name = Option.value (Xml.attr node "name") ~default:id in

@@ -106,37 +106,7 @@ let add_str buf s =
   add_int buf (String.length s);
   Buffer.add_string buf s
 
-exception Malformed of string
-
-type cursor = { data : bytes; mutable pos : int }
-
-(* [n - remaining], not [pos + n]: a length field near [max_int] would
-   wrap the sum negative and pass *)
-let need c n =
-  if n > Bytes.length c.data - c.pos then raise (Malformed "truncated message")
-
-let get_int c =
-  need c 8;
-  let v = Int64.to_int (Bytes.get_int64_le c.data c.pos) in
-  c.pos <- c.pos + 8;
-  if v < 0 then raise (Malformed "negative length");
-  v
-
-let get_str c =
-  let n = get_int c in
-  need c n;
-  let s = Bytes.sub_string c.data c.pos n in
-  c.pos <- c.pos + n;
-  s
-
-let get_char c =
-  need c 1;
-  let ch = Bytes.get c.data c.pos in
-  c.pos <- c.pos + 1;
-  ch
-
-let finished c =
-  if c.pos <> Bytes.length c.data then raise (Malformed "trailing bytes")
+module R = Genalg_storage.Byte_reader
 
 (* ---- requests ---- *)
 
@@ -160,41 +130,36 @@ let encode_request r =
   Buffer.contents buf
 
 let decode_request s =
-  match
-    if s = "" then raise (Malformed "empty message");
-    let c = { data = Bytes.of_string s; pos = 1 } in
-    let r =
-      match s.[0] with
-      | 'H' ->
-          let client_version = get_int c in
-          let actor = get_str c in
-          Hello { actor; client_version }
-      | 'Q' -> Query { sql = get_str c }
-      | 'F' ->
-          let epoch = get_int c in
-          let shifted = get_int c in
-          let lsn = if shifted = 0 then None else Some (shifted - 1) in
-          let sql = get_str c in
-          Fenced_query { epoch; lsn; sql }
-      | 'N' -> Resync { epoch = get_int c }
-      | 'B' -> Begin
-      | 'C' -> Commit
-      | 'R' -> Rollback
-      | 'S' -> Stats
-      | 'P' -> Ping
-      | 'G' -> Goodbye
-      | 'X' -> Shutdown { dirty = get_char c <> '\000' }
-      | t -> raise (Malformed (Printf.sprintf "unknown request tag %C" t))
-    in
-    (* HELLO tolerates trailing bytes: a future-version client may
-       append fields we don't know, and the server must still be able
-       to read the version number and answer with a typed VERSION
-       error rather than a framing failure *)
-    (match r with Hello _ -> () | _ -> finished c);
-    r
-  with
-  | r -> Ok r
-  | exception Malformed msg -> Error msg
+  R.run_string s (fun c ->
+      let r =
+        match R.char c with
+        | 'H' ->
+            let client_version = R.int c in
+            let actor = R.string c in
+            Hello { actor; client_version }
+        | 'Q' -> Query { sql = R.string c }
+        | 'F' ->
+            let epoch = R.int c in
+            let shifted = R.int c in
+            let lsn = if shifted = 0 then None else Some (shifted - 1) in
+            let sql = R.string c in
+            Fenced_query { epoch; lsn; sql }
+        | 'N' -> Resync { epoch = R.int c }
+        | 'B' -> Begin
+        | 'C' -> Commit
+        | 'R' -> Rollback
+        | 'S' -> Stats
+        | 'P' -> Ping
+        | 'G' -> Goodbye
+        | 'X' -> Shutdown { dirty = R.char c <> '\000' }
+        | t -> R.fail (Printf.sprintf "unknown request tag %C" t)
+      in
+      (* HELLO tolerates trailing bytes: a future-version client may
+         append fields we don't know, and the server must still be able
+         to read the version number and answer with a typed VERSION
+         error rather than a framing failure *)
+      (match r with Hello _ -> () | _ -> R.expect_end c);
+      r)
 
 (* ---- replies ---- *)
 
@@ -214,7 +179,10 @@ let encode_reply r =
       List.iter (add_str buf) columns;
       add_int buf (List.length rows);
       List.iter
-        (fun row -> add_str buf (Bytes.to_string (D.encode_row row)))
+        (fun row ->
+          let enc = D.encode_row row in
+          add_int buf (Bytes.length enc);
+          Buffer.add_bytes buf enc)
         rows
   | Affected n -> add_int buf n
   | Error_reply { code; message } ->
@@ -229,56 +197,42 @@ let encode_reply r =
   Buffer.contents buf
 
 let decode_reply s =
-  match
-    if s = "" then raise (Malformed "empty message");
-    let c = { data = Bytes.of_string s; pos = 1 } in
-    let r =
-      match s.[0] with
-      | 'W' ->
-          let server_version = get_int c in
-          let session = get_int c in
-          let topology =
-            if c.pos < Bytes.length c.data then get_str c else ""
-          in
-          Welcome { session; server_version; topology }
-      | 'K' -> Ok_reply { info = get_str c }
-      | 'T' ->
-          let ncols = get_int c in
-          if ncols > String.length s then raise (Malformed "implausible count");
-          let columns = List.init ncols (fun _ -> get_str c) in
-          let nrows = get_int c in
-          if nrows > String.length s then raise (Malformed "implausible count");
-          let rows =
-            List.init nrows (fun _ ->
-                match D.decode_row (Bytes.of_string (get_str c)) with
-                | Ok row -> row
-                | Error msg -> raise (Malformed msg))
-          in
-          Rows { columns; rows }
-      | 'A' -> Affected (get_int c)
-      | 'E' ->
-          let code =
-            match error_code_of_int (get_int c) with
-            | Some code -> code
-            | None -> raise (Malformed "unknown error code")
-          in
-          let message = get_str c in
-          Error_reply { code; message }
-      | 'O' -> Pong
-      | 'Z' -> Stats_text (get_str c)
-      | 'U' ->
-          let epoch = get_int c in
-          let applied_lsn = get_int c in
-          Resync_state { epoch; applied_lsn }
-      | 'Y' -> Bye
-      | t -> raise (Malformed (Printf.sprintf "unknown reply tag %C" t))
-    in
-    finished c;
-    r
-  with
-  | r -> Ok r
-  | exception Malformed msg -> Error msg
-  | exception Failure msg -> Error msg
+  R.run_string s (fun c ->
+      let r =
+        match R.char c with
+        | 'W' ->
+            let server_version = R.int c in
+            let session = R.int c in
+            let topology = if R.remaining c > 0 then R.string c else "" in
+            Welcome { session; server_version; topology }
+        | 'K' -> Ok_reply { info = R.string c }
+        | 'T' ->
+            let columns = List.init (R.count c) (fun _ -> R.string c) in
+            (* each row decodes in place, from a cursor over its bytes *)
+            let rows =
+              List.init (R.count c) (fun _ -> D.read_row (R.sub c (R.int c)))
+            in
+            Rows { columns; rows }
+        | 'A' -> Affected (R.int c)
+        | 'E' ->
+            let code =
+              match error_code_of_int (R.int c) with
+              | Some code -> code
+              | None -> R.fail "unknown error code"
+            in
+            let message = R.string c in
+            Error_reply { code; message }
+        | 'O' -> Pong
+        | 'Z' -> Stats_text (R.string c)
+        | 'U' ->
+            let epoch = R.int c in
+            let applied_lsn = R.int c in
+            Resync_state { epoch; applied_lsn }
+        | 'Y' -> Bye
+        | t -> R.fail (Printf.sprintf "unknown reply tag %C" t)
+      in
+      R.expect_end c;
+      r)
 
 (* ---- framing ---- *)
 

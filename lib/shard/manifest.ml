@@ -77,85 +77,50 @@ let encode t =
   Buffer.add_string b body;
   Buffer.contents b
 
-exception Corrupt of string
+module R = Genalg_storage.Byte_reader
 
 let decode contents =
   let m = String.length magic in
-  if String.length contents < m + 8 || String.sub contents 0 m <> magic then
-    Error "not a genalg coordinator manifest (bad magic)"
-  else begin
-    let data = Bytes.of_string contents in
-    let crc = Int64.to_int32 (Bytes.get_int64_le data m) in
-    let body_pos = m + 8 in
-    let body_len = Bytes.length data - body_pos in
-    if Checksum.sub data ~pos:body_pos ~len:body_len <> crc then
-      Error "manifest checksum mismatch"
-    else
-      let pos = ref body_pos in
-      (* [n - remaining], not [pos + n], which a length near [max_int]
-         wraps negative *)
-      let need n =
-        if n > Bytes.length data - !pos then raise (Corrupt "truncated")
-      in
-      let get_int () =
-        need 8;
-        let v = Int64.to_int (Bytes.get_int64_le data !pos) in
-        pos := !pos + 8;
-        if v < 0 then raise (Corrupt "negative field");
-        v
-      in
-      let get_str () =
-        let n = get_int () in
-        need n;
-        let s = Bytes.sub_string data !pos n in
-        pos := !pos + n;
-        s
-      in
-      let get_char () =
-        need 1;
-        let c = Bytes.get data !pos in
-        incr pos;
-        c
-      in
-      match
-        let version = get_int () in
-        if version <> 1 then
-          raise (Corrupt (Printf.sprintf "unknown body version %d" version));
+  if String.length contents < m + 8 || not (String.starts_with ~prefix:magic contents)
+  then Error "not a genalg coordinator manifest (bad magic)"
+  else
+    R.run_string contents (fun r ->
+        ignore (R.raw r m);
+        let crc = Int64.to_int32 (R.int64 r) in
+        if R.crc r (R.remaining r) <> crc then R.fail "checksum mismatch";
+        let version = R.int r in
+        if version <> 1 then R.fail (Printf.sprintf "unknown body version %d" version);
         let topology =
-          match get_char () with
+          match R.char r with
           | 'L' ->
-              let shards = get_int () in
-              let replicas = get_char () <> '\000' in
+              let shards = R.int r in
+              let replicas = R.char r <> '\000' in
               Local { shards; replicas }
           | 'R' ->
-              let actor = get_str () in
-              let sockets = List.init (get_int ()) (fun _ -> get_str ()) in
-              let replicas = List.init (get_int ()) (fun _ -> get_str ()) in
+              let actor = R.string r in
+              let sockets = List.init (R.count r) (fun _ -> R.string r) in
+              let replicas = List.init (R.count r) (fun _ -> R.string r) in
               Remote { actor; sockets; replicas }
-          | c -> raise (Corrupt (Printf.sprintf "unknown topology tag %C" c))
+          | c -> R.fail (Printf.sprintf "unknown topology tag %C" c)
         in
         let pcols =
-          List.init (get_int ()) (fun _ ->
-              let table = get_str () in
-              let col = get_str () in
-              (table, col))
+          List.init (R.count r) (fun _ ->
+              let table = R.string r in
+              (table, R.string r))
         in
-        let next_seq = get_int () in
-        let log_base = get_int () in
+        let next_seq = R.int r in
+        let log_base = R.int r in
         let shards =
-          List.init (get_int ()) (fun _ ->
-              let epoch = get_int () in
-              let primary_applied = get_int () in
+          List.init (R.count r) (fun _ ->
+              let epoch = R.int r in
+              let primary_applied = R.int r in
               let replica_applied =
-                match get_int () with 0 -> None | n -> Some (n - 1)
+                match R.int r with 0 -> None | n -> Some (n - 1)
               in
               { epoch; primary_applied; replica_applied })
         in
-        { topology; pcols; next_seq; log_base; shards }
-      with
-      | t -> Ok t
-      | exception Corrupt msg -> Error ("corrupt manifest: " ^ msg)
-  end
+        { topology; pcols; next_seq; log_base; shards })
+    |> Result.map_error (fun msg -> "corrupt manifest: " ^ msg)
 
 (* ---- crash-safe persistence: complete tmp image, fsync, atomic
    rename, directory fsync. Unlike [Database.save] there is no intent

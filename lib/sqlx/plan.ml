@@ -163,8 +163,8 @@ let rank e =
 (* ------------------------------------------------------------------ *)
 (* Planning                                                            *)
 
-(* Aliases a conjunct references; unqualified columns are attributed by
-   probing the catalog across the FROM tables. *)
+(* Aliases a conjunct references, lowercased; unqualified columns are
+   attributed by probing the catalog across the FROM tables. *)
 let aliases_of catalog from expr =
   let cols = Ast.columns_of_expr expr in
   let resolve (qualifier, col) =
@@ -176,7 +176,25 @@ let aliases_of catalog from expr =
             if catalog.column_exists ~table ~column:col then Some alias else None)
           from
   in
-  List.sort_uniq String.compare (List.concat_map resolve cols)
+  List.sort_uniq String.compare
+    (List.map String.lowercase_ascii (List.concat_map resolve cols))
+
+(* The conjuncts one FROM entry filters alone, and the rest: those that
+   span aliases, plus a single alias that names no FROM entry, whose
+   error only the join steps or the tail can report. *)
+let split_conjuncts from classified =
+  let aliases = List.map (fun (_, a) -> String.lowercase_ascii a) from in
+  let filters_of alias =
+    let alias = String.lowercase_ascii alias in
+    List.filter_map (fun (c, al) -> if al = [ alias ] then Some c else None) classified
+  in
+  let join_filters =
+    List.filter_map
+      (fun (c, al) ->
+        match al with [ a ] when List.mem a aliases -> None | _ -> Some c)
+      classified
+  in
+  (filters_of, join_filters)
 
 (* The column a conjunct operand names on [alias], if any. *)
 let col_of_expr ~alias = function
@@ -507,11 +525,7 @@ let make_steps ~hash_join catalog (from : (string * string) list) classified
         Array.to_list (Array.sub alias_array 0 (k + 1))
       in
       let step_of f =
-        let af =
-          match List.assoc_opt f classified with
-          | Some al -> List.map String.lowercase_ascii al
-          | None -> []
-        in
+        let af = Option.value (List.assoc_opt f classified) ~default:[] in
         let rec find k =
           if k >= Array.length alias_array then None
           else if
@@ -614,24 +628,15 @@ let make ?(optimize = true) catalog (select : Ast.select) =
   let classified =
     List.map (fun c -> (c, aliases_of catalog from c)) conjuncts
   in
+  let filters_of, join_filters = split_conjuncts from classified in
   if not optimize then begin
     (* naive: all single-table conjuncts stay in source order, no indexes *)
     let tables =
       List.map
         (fun (table, alias) ->
-          let filters =
-            List.filter_map
-              (fun (c, al) -> if al = [ alias ] then Some c else None)
-              classified
-          in
-          { table; alias; access = Full_scan; filters; est_rows = None;
-            vec_kernels = [] })
+          { table; alias; access = Full_scan; filters = filters_of alias;
+            est_rows = None; vec_kernels = [] })
         from
-    in
-    let join_filters =
-      List.filter_map
-        (fun (c, al) -> if List.length al <> 1 then Some c else None)
-        classified
     in
     let joins, tail_filters =
       make_steps ~hash_join:false catalog from classified join_filters
@@ -641,12 +646,7 @@ let make ?(optimize = true) catalog (select : Ast.select) =
   end
   else begin
     let plan_table (table, alias) =
-      let mine =
-        List.filter_map
-          (fun (c, al) -> if al = [ alias ] then Some c else None)
-          classified
-      in
-      plan_table_cost_based catalog ~table ~alias mine
+      plan_table_cost_based catalog ~table ~alias (filters_of alias)
     in
     let tables = List.map plan_table from in
     let edges = join_edges catalog from classified in
@@ -687,10 +687,7 @@ let make ?(optimize = true) catalog (select : Ast.select) =
       | _ -> (from, tables)
     in
     let join_filters =
-      List.filter_map
-        (fun (c, al) -> if List.length al <> 1 then Some c else None)
-        classified
-      |> List.stable_sort (fun a b -> Float.compare (rank a) (rank b))
+      List.stable_sort (fun a b -> Float.compare (rank a) (rank b)) join_filters
     in
     let joins, tail_filters =
       make_steps ~hash_join:true catalog from classified join_filters

@@ -19,6 +19,8 @@ let update crc byte =
 let finish crc = Int32.logxor crc 0xffffffffl
 
 let sub b ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then
+    invalid_arg "Checksum.sub";
   let crc = ref 0xffffffffl in
   for i = pos to pos + len - 1 do
     crc := update !crc (Char.code (Bytes.unsafe_get b i))

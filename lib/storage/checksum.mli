@@ -6,4 +6,5 @@ val string : string -> int32
 val bytes : Bytes.t -> int32
 
 val sub : Bytes.t -> pos:int -> len:int -> int32
-(** CRC of a slice, without copying. *)
+(** CRC of a slice, without copying. Raises [Invalid_argument] unless
+    the slice lies within the buffer. *)

@@ -267,8 +267,6 @@ let serialize t =
     t.entries;
   Buffer.contents buf
 
-exception Corrupt of string
-
 let chunk_size = 8192
 
 (* Wrap a v1 body in the v2 chunk-checksummed envelope. *)
@@ -289,41 +287,24 @@ let encode_v2 body =
   done;
   Buffer.contents buf
 
-(* Unwrap a v2 envelope, verifying every chunk CRC. Raises [Corrupt]. *)
-let decode_v2 contents =
-  let data = Bytes.of_string contents in
-  let pos = ref (String.length magic_v2) in
-  let need n =
-    if !pos + n > Bytes.length data then raise (Corrupt "truncated envelope")
-  in
-  let read_int () =
-    need 8;
-    let v = Int64.to_int (Bytes.get_int64_le data !pos) in
-    pos := !pos + 8;
-    if v < 0 then raise (Corrupt "negative envelope length");
-    v
-  in
-  let n_chunks = read_int () in
-  let payload_len = read_int () in
-  if n_chunks > Bytes.length data || payload_len > Bytes.length data then
-    raise (Corrupt "implausible envelope header");
+module R = Byte_reader
+
+(* Unwrap a v2 envelope after its magic, verifying every chunk CRC. *)
+let decode_v2 r =
+  let n_chunks = R.count r in
+  let payload_len = R.count r in
   let buf = Buffer.create payload_len in
   for _ = 1 to n_chunks do
-    let len = read_int () in
-    if len > chunk_size then raise (Corrupt "oversized chunk");
-    need 8;
-    let crc = Int64.to_int32 (Bytes.get_int64_le data !pos) in
-    pos := !pos + 8;
-    need len;
-    if Checksum.sub data ~pos:!pos ~len <> crc then begin
+    let len = R.int r in
+    if len > chunk_size then R.fail "oversized chunk";
+    let crc = Int64.to_int32 (R.int64 r) in
+    if R.crc r len <> crc then begin
       Obs.add c_checksum_failures 1;
-      raise (Corrupt "chunk checksum mismatch (torn or corrupt write)")
+      R.fail "chunk checksum mismatch (torn or corrupt write)"
     end;
-    Buffer.add_subbytes buf data !pos len;
-    pos := !pos + len
+    Buffer.add_string buf (R.raw r len)
   done;
-  if Buffer.length buf <> payload_len then
-    raise (Corrupt "payload length mismatch");
+  if Buffer.length buf <> payload_len then R.fail "payload length mismatch";
   Buffer.contents buf
 
 (* ---- write-ahead intent journal ---- *)
@@ -339,14 +320,14 @@ let encode_journal image =
   Buffer.contents buf
 
 let parse_journal s =
-  let m = String.length journal_magic in
-  if String.length s = m + 16 && String.sub s 0 m = journal_magic then begin
-    let b = Bytes.of_string s in
-    let crc = Int64.to_int32 (Bytes.get_int64_le b m) in
-    let len = Int64.to_int (Bytes.get_int64_le b (m + 8)) in
-    if len >= 0 then Some (crc, len) else None
-  end
-  else None
+  R.run_string s (fun r ->
+      if R.raw r (String.length journal_magic) <> journal_magic then
+        R.fail "bad magic";
+      let crc = Int64.to_int32 (R.int64 r) in
+      let len = R.int r in
+      R.expect_end r;
+      (crc, len))
+  |> Result.to_option
 
 let write_file file contents =
   let oc = open_out_bin file in
@@ -385,7 +366,7 @@ let recover path =
         | None -> false
       in
       let outcome =
-        match Option.bind (Some jbytes) parse_journal with
+        match parse_journal jbytes with
         | Some intent when matches tmp intent ->
             (* complete new image made it to tmp: finish the save *)
             Sys.rename tmp path;
@@ -445,147 +426,79 @@ let save t path =
   | () -> Ok ()
   | exception Sys_error msg -> Error msg
 
-(* Parse a v1 body (magic GENALGDB1 ...) into a database. *)
-let parse_body contents =
-      let data = Bytes.of_string contents in
-      let pos = ref 0 in
-      let need n =
-        if !pos + n > Bytes.length data then raise (Corrupt "truncated file")
+let read_stats r =
+  List.init (R.count r) (fun _ ->
+      let col = R.string r in
+      let rows = R.int r in
+      let distinct = R.int r in
+      let nulls = R.int r in
+      let read_opt () =
+        if R.char r = '\000' then None else Some (Dtype.read_value r)
       in
-      let read_int () =
-        need 8;
-        let v = Int64.to_int (Bytes.get_int64_le data !pos) in
-        pos := !pos + 8;
-        if v < 0 then raise (Corrupt "negative length");
-        v
+      let min_value = read_opt () in
+      let max_value = read_opt () in
+      let histogram =
+        match R.count r with
+        | 0 -> None
+        | nb ->
+            let bounds = Array.make nb Dtype.Null in
+            let counts = Array.make nb 0 in
+            for i = 0 to nb - 1 do
+              bounds.(i) <- Dtype.read_value r;
+              counts.(i) <- R.int r
+            done;
+            Some { Table.bounds; counts }
       in
-      (* counts of variable-size items: each item consumes at least one
-         byte, so a count larger than the remaining payload is corrupt
-         (prevents unbounded allocation from mutated headers) *)
-      let read_count () =
-        let v = read_int () in
-        if v > Bytes.length data - !pos then raise (Corrupt "implausible count");
-        v
+      (col, { Table.rows; distinct; nulls; min_value; max_value; histogram }))
+
+let ok_or_fail = function Ok v -> v | Error msg -> R.fail msg
+
+(* Read a v1 body (magic GENALGDB1, or GENALGDB3 with statistics). *)
+let read_body r =
+  let m = R.raw r (String.length magic) in
+  if m <> magic && m <> magic_v3 then R.fail "bad magic";
+  let with_stats = m = magic_v3 in
+  let t = create () in
+  for _ = 1 to R.count r do
+    let space =
+      match R.string r with
+      | "!public" -> Public
+      | s when String.length s > 5 && String.sub s 0 5 = "user:" ->
+          User (String.sub s 5 (String.length s - 5))
+      | _ -> R.fail "bad space tag"
+    in
+    let name = R.string r in
+    let cols =
+      List.init (R.count r) (fun _ ->
+          let cname = R.string r in
+          let tname = R.string r in
+          let nullable = R.char r <> '\000' in
+          match Dtype.of_string tname with
+          | Some dtype -> { Schema.name = cname; dtype; nullable }
+          | None -> R.fail ("bad column type " ^ tname))
+    in
+    let table = Table.create ~name (ok_or_fail (Schema.make cols)) in
+    let indexed = List.init (R.count r) (fun _ -> R.string r) in
+    let grantees = List.init (R.count r) (fun _ -> R.string r) in
+    for _ = 1 to R.count r do
+      let row = Dtype.read_row (R.sub r (R.int r)) in
+      ignore (ok_or_fail (Table.insert table row))
+    done;
+    List.iter
+      (fun column -> ok_or_fail (Table.create_index table ~column))
+      indexed;
+    if with_stats then begin
+      Table.set_stats table (read_stats r);
+      let specs =
+        List.init (R.count r) (fun _ ->
+            let col = R.string r in
+            (col, R.int r))
       in
-      let read_sized () =
-        let n = read_int () in
-        need n;
-        let s = Bytes.sub_string data !pos n in
-        pos := !pos + n;
-        s
-      in
-      let read_value () =
-        let v, next = Dtype.decode_value data !pos in
-        pos := next;
-        v
-      in
-      let read_stats () =
-        let nstats = read_count () in
-        List.init nstats (fun _ ->
-            let col = read_sized () in
-            let rows = read_int () in
-            let distinct = read_int () in
-            let nulls = read_int () in
-            let read_opt () =
-              need 1;
-              let tag = Bytes.get data !pos in
-              incr pos;
-              if tag = '\000' then None else Some (read_value ())
-            in
-            let min_value = read_opt () in
-            let max_value = read_opt () in
-            let nb = read_count () in
-            let histogram =
-              if nb = 0 then None
-              else begin
-                let bounds = Array.make nb Dtype.Null in
-                let counts = Array.make nb 0 in
-                for i = 0 to nb - 1 do
-                  bounds.(i) <- read_value ();
-                  counts.(i) <- read_int ()
-                done;
-                Some { Table.bounds; counts }
-              end
-            in
-            ( col,
-              { Table.rows; distinct; nulls; min_value; max_value; histogram } ))
-      in
-      (try
-         need (String.length magic);
-         let m = Bytes.sub_string data 0 (String.length magic) in
-         let with_stats = m = magic_v3 in
-         if m <> magic && m <> magic_v3 then raise (Corrupt "bad magic");
-         pos := String.length magic;
-         let t = create () in
-         let n_entries = read_count () in
-         for _ = 1 to n_entries do
-           let space_str = read_sized () in
-           let space =
-             if space_str = "!public" then Public
-             else if String.length space_str > 5 && String.sub space_str 0 5 = "user:"
-             then User (String.sub space_str 5 (String.length space_str - 5))
-             else raise (Corrupt "bad space tag")
-           in
-           let name = read_sized () in
-           let ncols = read_count () in
-           let cols =
-             List.init ncols (fun _ ->
-                 let cname = read_sized () in
-                 let tname = read_sized () in
-                 need 1;
-                 let nullable = Bytes.get data !pos <> '\000' in
-                 incr pos;
-                 match Dtype.of_string tname with
-                 | Some dtype -> { Schema.name = cname; dtype; nullable }
-                 | None -> raise (Corrupt ("bad column type " ^ tname)))
-           in
-           let schema =
-             match Schema.make cols with
-             | Ok s -> s
-             | Error msg -> raise (Corrupt msg)
-           in
-           let table = Table.create ~name schema in
-           let nidx = read_count () in
-           let indexed = List.init nidx (fun _ -> read_sized ()) in
-           let ngrant = read_count () in
-           let grantees = List.init ngrant (fun _ -> read_sized ()) in
-           let nrows = read_count () in
-           for _ = 1 to nrows do
-             let len = read_int () in
-             need len;
-             let row =
-               match Dtype.decode_row (Bytes.sub data !pos len) with
-               | Ok row -> row
-               | Error msg -> raise (Corrupt msg)
-             in
-             pos := !pos + len;
-             match Table.insert table row with
-             | Ok _ -> ()
-             | Error msg -> raise (Corrupt msg)
-           done;
-           List.iter
-             (fun col ->
-               match Table.create_index table ~column:col with
-               | Ok () -> ()
-               | Error msg -> raise (Corrupt msg))
-             indexed;
-           if with_stats then begin
-             Table.set_stats table (read_stats ());
-             let ngen = read_count () in
-             let specs =
-               List.init ngen (fun _ ->
-                   let col = read_sized () in
-                   let k = read_int () in
-                   (col, k))
-             in
-             if specs <> [] then Table.set_pending_genomic table specs
-           end;
-           t.entries <- t.entries @ [ { space; table; grantees } ]
-         done;
-         Ok t
-       with
-      | Corrupt msg -> Error ("Database.load: " ^ msg)
-      | Invalid_argument msg -> Error ("Database.load: " ^ msg))
+      if specs <> [] then Table.set_pending_genomic table specs
+    end;
+    t.entries <- t.entries @ [ { space; table; grantees } ]
+  done;
+  t
 
 let clone t =
   {
@@ -604,16 +517,15 @@ let load path =
   with
   | exception Sys_error msg -> Error msg
   | contents -> (
-      match
-        let m2 = String.length magic_v2 in
-        if String.length contents >= m2 && String.sub contents 0 m2 = magic_v2
-        then decode_v2 contents
-        else contents (* legacy v1 body, stored bare *)
-      with
-      | exception Corrupt msg -> Error ("Database.load: " ^ msg)
-      | body -> (
-          match parse_body body with
-          | Ok _ as ok ->
-              Obs.add c_clean_open 1;
-              ok
-          | Error _ as err -> err))
+      let body =
+        if String.starts_with ~prefix:magic_v2 contents then
+          R.run_string contents (fun r ->
+              ignore (R.raw r (String.length magic_v2));
+              decode_v2 r)
+        else Ok contents (* legacy v1 body, stored bare *)
+      in
+      match Result.bind body (fun body -> R.run_string body read_body) with
+      | Ok _ as ok ->
+          Obs.add c_clean_open 1;
+          ok
+      | Error msg -> Error ("Database.load: " ^ msg))

@@ -122,39 +122,19 @@ let encode_value buf = function
       add_int64 buf (Bytes.length payload);
       Buffer.add_bytes buf payload
 
-let read_int64 buf off =
-  if off + 8 > Bytes.length buf then invalid_arg "Dtype.decode_value: truncated";
-  (Int64.to_int (Bytes.get_int64_le buf off), off + 8)
+module R = Byte_reader
 
-let read_sized buf off =
-  let len, off = read_int64 buf off in
-  if len < 0 || off + len > Bytes.length buf then
-    invalid_arg "Dtype.decode_value: truncated string";
-  (Bytes.sub_string buf off len, off + len)
-
-let decode_value buf off =
-  if off >= Bytes.length buf then invalid_arg "Dtype.decode_value: empty";
-  match Bytes.get buf off with
-  | '\000' -> (Null, off + 1)
-  | '\001' ->
-      if off + 2 > Bytes.length buf then invalid_arg "Dtype.decode_value: truncated";
-      (Bool (Bytes.get buf (off + 1) <> '\000'), off + 2)
-  | '\002' ->
-      let i, off = read_int64 buf (off + 1) in
-      (Int i, off)
-  | '\003' ->
-      if off + 9 > Bytes.length buf then invalid_arg "Dtype.decode_value: truncated";
-      (Float (Int64.float_of_bits (Bytes.get_int64_le buf (off + 1))), off + 9)
-  | '\004' ->
-      let s, off = read_sized buf (off + 1) in
-      (Str s, off)
+let read_value r =
+  match R.char r with
+  | '\000' -> Null
+  | '\001' -> Bool (R.char r <> '\000')
+  | '\002' -> Int (Int64.to_int (R.int64 r))
+  | '\003' -> Float (Int64.float_of_bits (R.int64 r))
+  | '\004' -> Str (R.string r)
   | '\005' ->
-      let name, off = read_sized buf (off + 1) in
-      let len, off = read_int64 buf off in
-      if len < 0 || off + len > Bytes.length buf then
-        invalid_arg "Dtype.decode_value: truncated opaque";
-      (Opaque (name, Bytes.sub buf off len), off + len)
-  | _ -> invalid_arg "Dtype.decode_value: unknown tag"
+      let name = R.string r in
+      Opaque (name, R.bytes r (R.int r))
+  | _ -> R.fail "unknown value tag"
 
 let encode_row row =
   let buf = Buffer.create 64 in
@@ -162,20 +142,9 @@ let encode_row row =
   Array.iter (encode_value buf) row;
   Buffer.to_bytes buf
 
-let decode_row buf =
-  try
-    let n, off = read_int64 buf 0 in
-    (* every value takes at least one tag byte, so the arity cannot exceed
-       the remaining payload — guards against huge corrupted headers *)
-    if n < 0 || n > Bytes.length buf - off then
-      invalid_arg "Dtype.decode_row: corrupt arity";
-    let off = ref off in
-    Ok
-      (Array.init n (fun _ ->
-           let v, next = decode_value buf !off in
-           off := next;
-           v))
-  with Invalid_argument msg -> Error msg
+(* every value takes at least its tag byte, so the arity is a count *)
+let read_row r = Array.init (R.count r) (fun _ -> read_value r)
+let decode_row buf = R.run buf read_row
 
 let pp ppf ty = Format.pp_print_string ppf (to_string ty)
 let pp_value ppf v = Format.pp_print_string ppf (value_to_display v)

@@ -47,13 +47,16 @@ module Value_map : Map.S with type key = value
 val encode_value : Buffer.t -> value -> unit
 (** Append a self-describing binary encoding. *)
 
-val decode_value : bytes -> int -> value * int
-(** [decode_value buf off] reads one value, returning it and the next
-    offset. Raises [Invalid_argument] on corrupt input. *)
+val read_value : Byte_reader.t -> value
+(** Read one value written by {!encode_value}. *)
 
 val encode_row : value array -> bytes
+
+val read_row : Byte_reader.t -> value array
+(** Read one row written by {!encode_row}; bytes after it stay unread. *)
+
 val decode_row : bytes -> (value array, string) result
-(** The inverse of {!encode_row}; corrupt input is an [Error]. *)
+(** {!read_row} over a whole buffer; corrupt input is an [Error]. *)
 
 val pp : Format.formatter -> t -> unit
 val pp_value : Format.formatter -> value -> unit

@@ -137,7 +137,7 @@ type replay = {
   last_lsn : int option;
 }
 
-exception Torn
+module R = Byte_reader
 
 let scan ?from file =
   if not (Sys.file_exists file) then
@@ -151,13 +151,9 @@ let scan ?from file =
     with
     | exception Sys_error msg -> Error msg
     | contents ->
-        let m = String.length magic in
-        if String.length contents < m || String.sub contents 0 m <> magic then
+        if not (String.starts_with ~prefix:magic contents) then
           Error (file ^ ": not a genalg WAL (bad magic)")
         else begin
-          let data = Bytes.of_string contents in
-          let pos = ref m in
-          let torn = ref false in
           (* per-txn pending statements, in append order; txns emit into
              [out] when their commit record is reached *)
           let open_txns : (int, replay_stmt list ref) Hashtbl.t =
@@ -176,84 +172,57 @@ let scan ?from file =
           let wanted txn =
             match from with None -> true | Some cut -> txn > cut
           in
-          (* [n - remaining], not [pos + n]: a length field near
-             [max_int] would wrap the sum negative and pass *)
-          let need n =
-            if n > Bytes.length data - !pos then raise Torn
+          (* a record: len | crc | payload, the payload txn | kind | rest;
+             the first record that fails to read ends the scan as a torn
+             tail *)
+          let read_record r =
+            let len = R.int r in
+            let crc = Int64.to_int32 (R.int64 r) in
+            if R.crc r len <> crc then R.fail "checksum mismatch";
+            let p = R.sub r len in
+            let txn = Int64.to_int (R.int64 p) in
+            match R.char p with
+            | 'B' -> Hashtbl.replace open_txns txn (ref [])
+            | 'S' ->
+                let actor = R.string p in
+                let sql = R.raw p (R.remaining p) in
+                let stmts =
+                  match Hashtbl.find_opt open_txns txn with
+                  | Some l -> l
+                  | None ->
+                      let l = ref [] in
+                      Hashtbl.replace open_txns txn l;
+                      l
+                in
+                stmts := { rp_txn = txn; rp_actor = actor; rp_sql = sql } :: !stmts
+            | 'M' -> (
+                let lsn = R.int p in
+                match Hashtbl.find_opt markers txn with
+                | Some prev when prev >= lsn -> ()
+                | _ -> Hashtbl.replace markers txn lsn)
+            | 'C' -> (
+                (match Hashtbl.find_opt markers txn with
+                | Some lsn -> note_lsn lsn
+                | None -> ());
+                Hashtbl.remove markers txn;
+                match Hashtbl.find_opt open_txns txn with
+                | Some stmts ->
+                    (* [!stmts] is newest-first and [out] is kept
+                       newest-first overall, so plain prepend keeps the
+                       final [List.rev] correct within a txn *)
+                    if wanted txn then out := !stmts @ !out;
+                    Hashtbl.remove open_txns txn
+                | None -> () (* commit of an empty txn *))
+            | _ -> R.fail "unknown record kind"
           in
-          let read_i64 () =
-            need 8;
-            let v = Int64.to_int (Bytes.get_int64_le data !pos) in
-            pos := !pos + 8;
-            if v < 0 then raise Torn;
-            v
+          let torn =
+            R.run_string contents (fun r ->
+                ignore (R.raw r (String.length magic));
+                while R.remaining r > 0 do
+                  read_record r
+                done)
+            |> Result.is_error
           in
-          (try
-             while !pos < Bytes.length data do
-               let start = !pos in
-               let len = read_i64 () in
-               need 8;
-               let crc = Int64.to_int32 (Bytes.get_int64_le data !pos) in
-               pos := !pos + 8;
-               need len;
-               if Checksum.sub data ~pos:!pos ~len <> crc then begin
-                 pos := start;
-                 raise Torn
-               end;
-               (* decode the payload: txn | kind | rest *)
-               let p = !pos in
-               pos := !pos + len;
-               if len < 9 then raise Torn;
-               let txn = Int64.to_int (Bytes.get_int64_le data p) in
-               let kind = Bytes.get data (p + 8) in
-               let rest_pos = p + 9 and rest_len = len - 9 in
-               match kind with
-               | 'B' -> Hashtbl.replace open_txns txn (ref [])
-               | 'S' ->
-                   if rest_len < 8 then raise Torn;
-                   let alen =
-                     Int64.to_int (Bytes.get_int64_le data rest_pos)
-                   in
-                   if alen < 0 || alen > rest_len - 8 then raise Torn;
-                   let actor = Bytes.sub_string data (rest_pos + 8) alen in
-                   let sql =
-                     Bytes.sub_string data
-                       (rest_pos + 8 + alen)
-                       (rest_len - 8 - alen)
-                   in
-                   let stmts =
-                     match Hashtbl.find_opt open_txns txn with
-                     | Some r -> r
-                     | None ->
-                         let r = ref [] in
-                         Hashtbl.replace open_txns txn r;
-                         r
-                   in
-                   stmts :=
-                     { rp_txn = txn; rp_actor = actor; rp_sql = sql } :: !stmts
-               | 'M' ->
-                   if rest_len < 8 then raise Torn;
-                   let lsn = Int64.to_int (Bytes.get_int64_le data rest_pos) in
-                   if lsn < 0 then raise Torn;
-                   (match Hashtbl.find_opt markers txn with
-                   | Some prev when prev >= lsn -> ()
-                   | _ -> Hashtbl.replace markers txn lsn)
-               | 'C' ->
-                   (match Hashtbl.find_opt markers txn with
-                   | Some lsn -> note_lsn lsn
-                   | None -> ());
-                   Hashtbl.remove markers txn;
-                   (match Hashtbl.find_opt open_txns txn with
-                   | Some stmts ->
-                       (* [!stmts] is newest-first and [out] is kept
-                          newest-first overall, so plain prepend keeps
-                          the final [List.rev] correct within a txn *)
-                       if wanted txn then out := !stmts @ !out;
-                       Hashtbl.remove open_txns txn
-                   | None -> () (* commit of an empty txn *))
-               | _ -> raise Torn
-             done
-           with Torn -> torn := true);
           (* whatever is still open never committed: its records are
              discarded (an unacknowledged in-flight transaction) *)
           Hashtbl.iter
@@ -262,13 +231,7 @@ let scan ?from file =
           let committed = List.rev !out in
           Obs.add c_replay_committed (List.length committed);
           Obs.add c_replay_discarded !discarded;
-          Ok
-            {
-              committed;
-              discarded = !discarded;
-              torn = !torn;
-              last_lsn = !last_lsn;
-            }
+          Ok { committed; discarded = !discarded; torn; last_lsn = !last_lsn }
         end
 
 let replay file = scan file

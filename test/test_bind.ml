@@ -5,7 +5,9 @@
    first error in row order at any jobs setting, reordered joins, hash
    keys and residuals, DELETE WHERE and INSERT VALUES. The expected
    outcomes were recorded from the engine that looked names up per row,
-   before binding moved to compile time. *)
+   before binding moved to compile time, except where that engine's
+   planner compared a WHERE qualifier with the FROM aliases case-
+   sensitively and dropped the conjunct ([G.len >= 80], [x.len = 1]). *)
 
 module D = Genalg_storage.Dtype
 module Db = Genalg_storage.Database
@@ -155,7 +157,7 @@ let outcomes ~jobs =
 let expected =
   [
     "id,NAME,genes.len | 1,alpha,120; 2,beta,80; 3,gamma,300; 4,delta,80; 5,eps,45";
-    "G.Id,g.NAME | 1,alpha; 2,beta; 3,gamma; 4,delta; 5,eps";
+    "G.Id,g.NAME | 1,alpha; 2,beta; 3,gamma; 4,delta";
     "Id,Name,Len | 1,alpha,120; 2,beta,80; 3,gamma,300; 4,delta,80";
     "G.Id,G.Name,G.Len,S.ID,S.Acc,S.len,S.gene_id | 1,alpha,120,10,S10,100,1; 2,beta,80,11,S11,90,2; 3,gamma,300,12,S12,400,3; 3,gamma,300,13,S13,50,3";
     "error: unknown column nope";
@@ -166,9 +168,9 @@ let expected =
     "error: ambiguous column id";
     "error: ambiguous column len";
     "error: unknown column nope";
-    "g.id | 1; 2; 3; 3";
+    "error: unknown table alias x";
     "error: unknown column Nope";
-    "id | 1; 2; 3; 4; 5";
+    "error: unknown table alias x";
     "error: unknown column nope";
     "error: unknown table alias q";
     "error: unknown column nope";
@@ -287,6 +289,31 @@ let test_allocation () =
       ("SELECT x.id, y.name FROM t x, t y WHERE x.id = y.id", 230.);
     ]
 
+(* A WHERE qualifier matches its FROM alias in any case, and one that
+   names no FROM entry is an error, not a dropped conjunct: on the single
+   node and through a 4-shard coordinator, whose shards plan the same
+   statement. *)
+let test_where_qualifiers () =
+  let setup = List.filteri (fun i _ -> i < 2) setup in
+  let single = Db.create () in
+  List.iter (fun sql -> ignore (Exec.query single ~actor:"etl" sql)) setup;
+  let cl = Result.get_ok (Genalg_shard.Cluster.create_local ~shards:4 ()) in
+  Fun.protect ~finally:(fun () -> Genalg_shard.Cluster.close cl) @@ fun () ->
+  List.iter (fun sql -> ignore (Genalg_shard.Cluster.query cl ~actor:"etl" sql)) setup;
+  List.iter
+    (fun (sql, want) ->
+      Alcotest.(check string) ("single: " ^ sql) want
+        (show (Exec.query single ~actor:"etl" sql));
+      Alcotest.(check string) ("4 shards: " ^ sql) want
+        (show (Genalg_shard.Cluster.query cl ~actor:"etl" sql)))
+    [
+      ("SELECT id FROM genes g WHERE g.len >= 80 ORDER BY id", "id | 1; 2; 3; 4");
+      ("SELECT id FROM genes g WHERE G.len >= 80 ORDER BY id", "id | 1; 2; 3; 4");
+      ("SELECT id FROM Genes G WHERE g.LEN >= 80 AND G.id > 1", "id | 2; 3; 4");
+      ("SELECT id FROM genes WHERE x.len = 1", "error: unknown table alias x");
+      ("SELECT count(*) FROM genes WHERE x.len = 1", "error: unknown table alias x");
+    ]
+
 let suites =
   [
     ( "sqlx.bind",
@@ -295,5 +322,7 @@ let suites =
         Alcotest.test_case "joins are reordered" `Quick test_reordered;
         Alcotest.test_case "corpus at jobs 1" `Quick (test_corpus 1);
         Alcotest.test_case "corpus at jobs 4" `Quick (test_corpus 4);
+        Alcotest.test_case "WHERE qualifiers, single node and 4 shards" `Quick
+          test_where_qualifiers;
       ] );
   ]

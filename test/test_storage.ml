@@ -24,10 +24,15 @@ let test_value_roundtrip () =
     (fun v ->
       let buf = Buffer.create 16 in
       D.encode_value buf v;
-      let decoded, off = D.decode_value (Buffer.to_bytes buf) 0 in
+      let decoded =
+        Genalg_storage.Byte_reader.(
+          run (Buffer.to_bytes buf) (fun r ->
+              let v = D.read_value r in
+              expect_end r;
+              v))
+      in
       check Alcotest.bool ("round trip " ^ D.value_to_display v) true
-        (D.equal_value v decoded);
-      check Alcotest.int "consumed all" (Buffer.length buf) off)
+        (D.equal_value v (Result.get_ok decoded)))
     all_values
 
 let test_row_roundtrip () =
@@ -52,10 +57,10 @@ let test_conforms () =
   check Alcotest.bool "str not int" false (D.conforms D.TInt (D.Str "3"))
 
 let test_corrupt_decode () =
-  check Alcotest.bool "truncated rejected" true
-    (match D.decode_value (Bytes.of_string "\x02\x01") 0 with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
+  check
+    Alcotest.(result reject string)
+    "truncated rejected" (Error "truncated")
+    (Genalg_storage.Byte_reader.run (Bytes.of_string "\x02\x01") D.read_value)
 
 (* ---- heap ----------------------------------------------------------------- *)
 
