@@ -109,6 +109,24 @@ let test_sequence_bytes_fuzz () =
     (fun s -> Sequence.of_bytes (Bytes.of_string s))
     (fuzz_corpus rng base 200)
 
+let test_codec_fuzz () =
+  let rng = Rng.make 9010 in
+  let gene = Genalg_synth.Genegen.gene rng ~id:"cz" () in
+  let base = Bytes.to_string (Genalg_adapter.Codec.encode_gene gene) in
+  no_crash "Codec.decode_gene"
+    (fun s -> Genalg_adapter.Codec.decode_gene (Bytes.of_string s))
+    (fuzz_corpus rng base 200)
+
+let test_row_decode_fuzz () =
+  let rng = Rng.make 9011 in
+  let module D = Genalg_storage.Dtype in
+  let base =
+    Bytes.to_string
+      (D.encode_row [| D.Int 5; D.Str "hello"; D.Opaque ("dna", Bytes.make 4 'x'); D.Null |])
+  in
+  no_crash "Dtype.decode_row" (fun s -> D.decode_row (Bytes.of_string s))
+    (fuzz_corpus rng base 200)
+
 (* A length field of [max_int] wraps [pos + n] negative: a bounds check
    written that way passes, and the read that follows raises. Each
    decoder must report the record as truncated instead. *)
@@ -563,6 +581,8 @@ let suites =
     ( "robustness.binary",
       [
         tc "sequence bytes fuzz" `Quick test_sequence_bytes_fuzz;
+        tc "gene codec fuzz" `Quick test_codec_fuzz;
+        tc "row decode fuzz" `Quick test_row_decode_fuzz;
         tc "database load corruption" `Quick test_database_load_corruption;
         tc "wal length near max_int" `Quick test_wal_huge_length;
         tc "manifest length near max_int" `Quick test_manifest_huge_length;
